@@ -9,6 +9,8 @@ seed-box diagonal and c the system-wide upper contraction bound.
 Deduplication snaps points to a grid an eighth of that bound wide and keeps
 the lexicographically smallest point per cell, so results are independent of
 evaluation order; the grid diagonal is folded into the reported certificate.
+Depths whose grid cell is too fine for int64 grid keys over the seed boxes
+are refused with a ResolutionError before any point is computed.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import BudgetExceededError, SpecValidationError
+from .errors import BudgetExceededError, ResolutionError, SpecValidationError
 from .geometry import AffineContraction, LabeledPoint, hausdorff_distance
 from .graph import Graph, has_sinks_or_sources, vertex_matrix
 
@@ -239,6 +241,18 @@ def invariant_list(spec, depth, point_budget=None):
             f"{budget}; lower the depth or raise {POINT_BUDGET_ENV}",
             required=needed, budget=budget)
 
+    base_err = spec.max_diameter * spec.contraction_upper ** depth
+    cell = base_err / _DEDUP_DIVISOR
+    # grid keys are int64: every |coordinate| / cell must stay below 2**62;
+    # compared without dividing, since cell underflows to 0.0 at large depths
+    extent = max(abs(x) for box in spec.seed_boxes.values()
+                 for x in box.lo + box.hi)
+    if not extent < 2.0 ** 62 * cell:
+        raise ResolutionError(
+            f"depth {depth}: certificate {base_err!r} is finer than float64 "
+            f"grid keys can resolve over coordinates up to {extent!r}; lower "
+            f"the depth")
+
     pts = {v: spec.base_point(v)[None, :] for v in spec.graph.vertices}
     for _ in range(depth):
         gathered = {v: [] for v in spec.graph.vertices}
@@ -247,8 +261,6 @@ def invariant_list(spec, depth, point_budget=None):
         pts = {v: (np.vstack(chunks) if chunks else np.empty((0, spec.dimension)))
                for v, chunks in gathered.items()}
 
-    base_err = spec.max_diameter * spec.contraction_upper ** depth
-    cell = base_err / _DEDUP_DIVISOR
     error_bound = base_err + math.sqrt(spec.dimension) * cell
     clouds = {}
     for v in spec.graph.vertices:

@@ -247,14 +247,13 @@ class SeparationResult:
     report: BranchReport = field(repr=False, default=None)
 
 
-def graph_separation(spec, approx, tol):
-    """Pairwise disjointness of all cographs, decided from the branch report.
+def graph_separation(report):
+    """Pairwise disjointness of all cographs, decided from a branch report.
 
     When it holds, the correspondence algebra is isomorphic to the graph
     algebra of the underlying graph.
     """
-    report = branch_points(spec, approx, tol)
-    holds = not report.branch_points and report.min_cograph_gap > tol
+    holds = not report.branch_points and report.min_cograph_gap > report.tol
     witness = None
     if report.branch_points:
         bp = report.branch_points[0]
@@ -357,16 +356,14 @@ class HypothesisReport:
     details: dict
 
 
-def simplicity_report(spec, approx, tol):
+def simplicity_report(spec, branch_report, osc):
     """Bundle the hypotheses under which the associated algebra is simple and
-    purely infinite, together with the branch-point summary."""
+    purely infinite, given the system's branch report and open-set result."""
     sinks = has_sinks_or_sources(spec.graph)
     irreducible = is_irreducible(spec.graph)
     # definitional form of "not a cyclic permutation": some out-degree >= 2
     not_cyclic = any(len(spec.graph.out_edges(v)) >= 2
                      for v in spec.graph.vertices)
-    osc = open_set_condition(spec, tol=tol)
-    branches = branch_points(spec, approx, tol)
 
     checks = [sinks.clean, irreducible, not_cyclic]
     if all(checks) and osc.holds is True:
@@ -380,11 +377,9 @@ def simplicity_report(spec, approx, tol):
         "sinks": list(sinks.sinks),
         "sources": list(sinks.sources),
         "osc_failures": list(osc.failures),
-        "branch_count": branches.count,
-        "quotient_dimension": branches.count,
-        "left_action_by_compacts": branches.count == 0,
-        "min_cograph_gap": branches.min_cograph_gap,
-        "branch_report": branches,
+        "branch_count": branch_report.count,
+        "quotient_dimension": branch_report.count,
+        "left_action_by_compacts": branch_report.count == 0,
     }
     return HypothesisReport(
         no_sinks_sources=sinks.clean,

@@ -33,7 +33,8 @@ class BudgetExceededError(MWLabError):
 
 
 class ResolutionError(MWLabError):
-    """Sampling resolution is insufficient for the requested tolerance."""
+    """The requested sampling resolution cannot be represented or reached,
+    e.g. a certificate finer than float64 grid keys can resolve."""
 
     def __init__(self, message, suggested_depth=None):
         super().__init__(message)

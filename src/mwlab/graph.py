@@ -20,7 +20,6 @@ __all__ = [
     "is_cyclic_permutation",
     "paths_from",
     "vertex_matrix",
-    "path_counts",
 ]
 
 
@@ -203,8 +202,3 @@ def vertex_matrix(g):
         counts[g.vertex_index(e.source)][g.vertex_index(e.range)] += 1
     return IntMatrix(counts)
 
-
-def path_counts(g, n):
-    """Exact number of length-n paths starting at each vertex (row sums of A^n)."""
-    a = vertex_matrix(g) ** n
-    return {v: sum(a.row(i)) for i, v in enumerate(g.vertices)}

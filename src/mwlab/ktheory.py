@@ -20,7 +20,6 @@ __all__ = [
     "ExactnessResult",
     "hermite_normal_form",
     "smith_normal_form",
-    "det_bareiss",
     "kernel",
     "cokernel",
     "graph_algebra_ktheory",
@@ -161,33 +160,6 @@ class IntMatrix:
     def _check_same_shape(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-
-def det_bareiss(m):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m._data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 class _Worksheet:
@@ -433,19 +405,25 @@ def cokernel(m):
 class GraphKTheory:
     K0: FgAbelianGroup
     K1: FgAbelianGroup
+    invariant_factors: tuple
 
 
 def graph_algebra_ktheory(vertex_matrix):
-    """K-groups of the graph algebra: K1 = ker(1 - A^t), K0 = coker(1 - A^t)."""
+    """K-groups of the graph algebra: K1 = ker(1 - A^t), K0 = coker(1 - A^t).
+
+    Both come from one Smith form of the square matrix 1 - A^t: its zero
+    diagonal entries come last, one per free generator of the kernel.
+    """
     if not vertex_matrix.is_square:
         raise ValueError("vertex matrix must be square")
     if any(x < 0 for row in vertex_matrix._data for x in row):
         raise ValueError("vertex matrix must be nonnegative")
     n = vertex_matrix.rows
     delta = IntMatrix.identity(n) - vertex_matrix.transpose()
-    k1, _ = kernel(delta)
-    k0 = cokernel(delta)
-    return GraphKTheory(K0=k0, K1=k1)
+    snf = smith_normal_form(delta)
+    return GraphKTheory(K0=FgAbelianGroup.from_invariant_factors(snf.diagonal),
+                        K1=FgAbelianGroup(n - snf.rank),
+                        invariant_factors=snf.diagonal)
 
 
 # --- presentations, homomorphisms, exactness ---------------------------------
@@ -505,12 +483,6 @@ def _hstack(a, b):
     return IntMatrix([ra + rb for ra, rb in zip(a._data, b._data)])
 
 
-def integer_kernel_basis(m):
-    """Columns spanning {x in Z^cols : m @ x = 0}."""
-    _, basis = kernel(m)
-    return basis
-
-
 @dataclass(frozen=True)
 class GroupHom:
     """Homomorphism between presented groups, given on generators."""
@@ -551,9 +523,8 @@ def _kernel_lattice_columns(hom):
     g = hom.matrix
     rc = hom.codomain.relations
     if rc.cols == 0:
-        return integer_kernel_basis(g)
-    stacked = _hstack(g, -rc)
-    basis = integer_kernel_basis(stacked)
+        return kernel(g)[1]
+    basis = kernel(_hstack(g, -rc))[1]
     cols = [basis.column(j)[:g.cols] for j in range(basis.cols)]
     cols = [c for c in cols if any(c)]
     return IntMatrix.from_columns(cols, rows=g.cols)

@@ -13,7 +13,7 @@ from .attractor import invariance_residual, invariant_list, total_paths
 from .conditions import branch_points, graph_separation, open_set_condition, \
     simplicity_report
 from .graph import vertex_matrix
-from .ktheory import IntMatrix, graph_algebra_ktheory, smith_normal_form
+from .ktheory import IntMatrix, graph_algebra_ktheory
 
 __all__ = [
     "AnalysisReport",
@@ -48,12 +48,11 @@ def _labeled_point_dict(point):
 def ktheory_summary(matrix, reference=None):
     """K-groups of the graph algebra plus the intermediate exact data."""
     delta = IntMatrix.identity(matrix.rows) - matrix.transpose()
-    snf = smith_normal_form(delta)
     kt = graph_algebra_ktheory(matrix)
     out = {
         "vertex_matrix": matrix.to_lists(),
         "one_minus_transpose": delta.to_lists(),
-        "invariant_factors": list(snf.diagonal),
+        "invariant_factors": list(kt.invariant_factors),
         "K0": _group_dict(kt.K0),
         "K1": _group_dict(kt.K1),
     }
@@ -91,9 +90,9 @@ def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
 
     start = time.perf_counter()
     branch = branch_points(spec, approx, tol)
-    separation = graph_separation(spec, approx, tol)
     osc = open_set_condition(spec, tol=max(tol, 1e-12))
-    hypothesis = simplicity_report(spec, approx, tol)
+    separation = graph_separation(branch)
+    hypothesis = simplicity_report(spec, branch, osc)
     timings["conditions_s"] = time.perf_counter() - start
 
     start = time.perf_counter()

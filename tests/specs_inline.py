@@ -31,6 +31,26 @@ def cantor_ifs():
         name="cantor-inline")
 
 
+def one_loop():
+    """A single map x/2 + 1/4: the invariant set is the fixed point 1/2."""
+    g = Graph(["v"], [("e1", "v", "v")])
+    return MWGraphSpec(
+        graph=g, dimension=1,
+        seed_boxes={"v": SeedBox((0.0,), (1.0,))},
+        edge_maps={"e1": affine1(0.5, 0.25)},
+        name="one-loop-inline")
+
+
+def thin_cantor():
+    """0.01x and 0.01x + 0.99: a Cantor set with very small ratios."""
+    g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+    return MWGraphSpec(
+        graph=g, dimension=1,
+        seed_boxes={"v": SeedBox((0.0,), (1.0,))},
+        edge_maps={"e1": affine1(0.01, 0.0), "e2": affine1(0.01, 0.99)},
+        name="thin-cantor-inline")
+
+
 def duplicate_map_ifs():
     g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
     return MWGraphSpec(

@@ -173,7 +173,8 @@ def test_criterion_4_branch_detection():
         bp = report.branch_points[0]
         assert np.linalg.norm(np.subtract(bp.x.coords, (0.5, 0.5))) <= 1e-6
         assert bp.index == 2
-        hyp = simplicity_report(spec, approx_for("squares_z2", depth), tol=1e-6)
+        hyp = simplicity_report(spec, report,
+                                open_set_condition(spec, tol=1e-6))
         assert hyp.details["quotient_dimension"] == 1
     _ok(4, "squares_z2: one branch point at (0.5, 0.5), index 2, "
            "quotient dimension 1, stable from depth 8 to 10")
@@ -181,7 +182,8 @@ def test_criterion_4_branch_detection():
 
 def test_criterion_5_separation_dichotomy():
     dust = bundled("two_part_dust")
-    dust_sep = graph_separation(dust, approx_for("two_part_dust", 9), tol=1e-6)
+    dust_sep = graph_separation(
+        branch_points(dust, approx_for("two_part_dust", 9), tol=1e-6))
     assert dust_sep.holds and dust_sep.min_gap > 0
     # no parallel pair exists, so the exact and sampled routes agree trivially
     assert not dust_sep.report.has_parallel_pairs
@@ -189,7 +191,7 @@ def test_criterion_5_separation_dichotomy():
 
     squares = bundled("squares_z2")
     approx = approx_for("squares_z2", 9)
-    sq_sep = graph_separation(squares, approx, tol=1e-6)
+    sq_sep = graph_separation(branch_points(squares, approx, tol=1e-6))
     assert not sq_sep.holds
     e, f, y = sq_sep.witness
     assert (e, f) == ("e1", "e2")
@@ -207,8 +209,10 @@ def test_criterion_6_open_set_condition():
     assert open_set_condition(bundled("binary_ifs"), tol=0.0).holds is True
     assert open_set_condition(bundled("duplicate_map"), tol=0.0).holds is False
     assert open_set_condition(bundled("squares_z2"), tol=0.0).holds is True
-    hyp = simplicity_report(bundled("squares_z2"),
-                            approx_for("squares_z2", 9), tol=1e-6)
+    squares = bundled("squares_z2")
+    hyp = simplicity_report(
+        squares, branch_points(squares, approx_for("squares_z2", 9), tol=1e-6),
+        open_set_condition(squares, tol=1e-6))
     assert hyp.verdict == Verdict.SIMPLE_PURELY_INFINITE
     _ok(6, "open set condition: binary true, duplicate-map false, squares "
            "true; squares verdict SimplePurelyInfinite")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from mwlab.attractor import (
     total_paths,
     write_point_cloud_csv,
 )
-from mwlab.errors import BudgetExceededError, SpecValidationError
+from mwlab.errors import BudgetExceededError, ResolutionError, \
+    SpecValidationError
 from mwlab.geometry import hausdorff_distance, similarity_from_params
 from mwlab.graph import Graph, paths_from
-from specs_inline import affine1, binary_ifs, cantor_ifs, two_part_dust
+from specs_inline import affine1, binary_ifs, cantor_ifs, one_loop, \
+    thin_cantor, two_part_dust
 
 
 class TestSpecValidation:
@@ -87,6 +90,21 @@ class TestInvariantList:
             invariant_list(spec, 8)
         monkeypatch.setenv("MWLAB_POINT_BUDGET", "100000")
         invariant_list(spec, 8)
+
+    @pytest.mark.parametrize("maker,depth", [(one_loop, 1100),
+                                             (thin_cantor, 9)])
+    def test_certificate_below_grid_key_range(self, maker, depth):
+        # x/2 + 1/4 underflows c**depth to 0.0; the thin Cantor set's grid
+        # cell (about 1e-21) would overflow int64 grid keys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResolutionError, match="grid keys"):
+                invariant_list(maker(), depth)
+
+    def test_thin_cantor_shallow_depth_computes(self):
+        approx = invariant_list(thin_cantor(), 4)
+        assert len(approx.cloud("v")) == 2 ** 4
+        assert approx.error_bound > 0
 
     def test_total_paths_matches_enumeration(self):
         spec = two_part_dust()

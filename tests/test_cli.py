@@ -6,6 +6,8 @@ import pytest
 from mwlab.cli import main
 from mwlab.graph import vertex_matrix
 from mwlab.ktheory import IntMatrix
+from mwlab.specio import serialize_spec
+from specs_inline import one_loop, thin_cantor
 
 from conftest import bundled
 
@@ -95,6 +97,16 @@ class TestAttractor:
         code, _, err = run_cli("attractor", "binary_ifs", "--depth", "12")
         assert code == 3
         assert "resource error" in err
+
+    @pytest.mark.parametrize("maker,depth", [(one_loop, 1100),
+                                             (thin_cantor, 9)])
+    def test_grid_key_resolution_exit_code(self, tmp_path, maker, depth):
+        doc = tmp_path / "system.json"
+        doc.write_text(json.dumps(serialize_spec(maker())))
+        code, out, err = run_cli("attractor", str(doc), "--depth", str(depth))
+        assert code == 3
+        assert err.startswith("resource error:") and "grid keys" in err
+        assert out == ""
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

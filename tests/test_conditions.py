@@ -19,6 +19,11 @@ from mwlab.graph import Graph
 from specs_inline import affine1, binary_ifs, duplicate_map_ifs
 
 
+def hypotheses(spec, approx, tol):
+    return simplicity_report(spec, branch_points(spec, approx, tol),
+                             open_set_condition(spec, tol=tol))
+
+
 class TestBranchPoints:
     def test_squares_single_branch_point(self):
         spec = bundled("squares_z2")
@@ -84,7 +89,8 @@ class TestBranchIndex:
 class TestSeparation:
     def test_dust_holds(self):
         spec = bundled("two_part_dust")
-        result = graph_separation(spec, approx_for("two_part_dust", 9), tol=1e-6)
+        result = graph_separation(
+            branch_points(spec, approx_for("two_part_dust", 9), tol=1e-6))
         assert result.holds
         assert result.min_gap > 0
         assert result.witness is None
@@ -92,7 +98,8 @@ class TestSeparation:
 
     def test_squares_fails_with_witness_at_corner(self):
         spec = bundled("squares_z2")
-        result = graph_separation(spec, approx_for("squares_z2", 9), tol=1e-6)
+        result = graph_separation(
+            branch_points(spec, approx_for("squares_z2", 9), tol=1e-6))
         assert not result.holds
         e, f, y = result.witness
         assert (e, f) == ("e1", "e2")
@@ -100,7 +107,8 @@ class TestSeparation:
 
     def test_duplicate_maps_fail_with_zero_gap(self):
         spec = duplicate_map_ifs()
-        result = graph_separation(spec, invariant_list(spec, 8), tol=1e-9)
+        result = graph_separation(
+            branch_points(spec, invariant_list(spec, 8), tol=1e-9))
         assert not result.holds
         assert result.min_gap == 0.0
 
@@ -109,9 +117,10 @@ class TestSeparation:
         for name in ("squares_z2", "two_part_dust", "penrose"):
             spec = bundled(name)
             approx = approx_for(name, 9)
-            result = graph_separation(spec, approx, tol=1e-6)
             report = branch_points(spec, approx, tol=1e-6)
+            result = graph_separation(report)
             assert result.holds == (report.count == 0)
+            assert result.report is report
 
 
 class TestOpenSetCondition:
@@ -149,7 +158,7 @@ class TestOpenSetCondition:
 class TestSimplicityReport:
     def test_squares_simple_purely_infinite(self):
         spec = bundled("squares_z2")
-        report = simplicity_report(spec, approx_for("squares_z2", 9), tol=1e-6)
+        report = hypotheses(spec, approx_for("squares_z2", 9), tol=1e-6)
         assert report.verdict == Verdict.SIMPLE_PURELY_INFINITE
         assert report.no_sinks_sources and report.irreducible
         assert report.not_cyclic_permutation
@@ -165,19 +174,19 @@ class TestSimplicityReport:
             seed_boxes={"v1": SeedBox((0.0,), (1.0,)),
                         "v2": SeedBox((0.0,), (1.0,))},
             edge_maps={"e1": affine1(0.5, 0.25), "e2": affine1(0.5, 0.25)})
-        report = simplicity_report(spec, invariant_list(spec, 6), tol=1e-6)
+        report = hypotheses(spec, invariant_list(spec, 6), tol=1e-6)
         assert report.verdict == Verdict.HYPOTHESES_NOT_MET
         assert not report.not_cyclic_permutation
 
     def test_missing_candidate_gives_unknown(self):
         spec = bundled("penrose")
-        report = simplicity_report(spec, approx_for("penrose", 8), tol=1e-6)
+        report = hypotheses(spec, approx_for("penrose", 8), tol=1e-6)
         assert report.verdict == Verdict.UNKNOWN
         assert report.open_set_condition is None
 
     def test_dust_zero_branch_details(self):
         spec = bundled("two_part_dust")
-        report = simplicity_report(spec, approx_for("two_part_dust", 9), tol=1e-6)
+        report = hypotheses(spec, approx_for("two_part_dust", 9), tol=1e-6)
         assert report.details["branch_count"] == 0
         assert report.details["left_action_by_compacts"] is True
 
@@ -202,7 +211,7 @@ class TestRankDeficientPairs:
         bp = report.branch_points[0]
         assert bp.certified
         assert np.allclose(bp.y.coords, (0.0, 0.0), atol=2 * approx.error_bound)
-        result = graph_separation(spec, approx, tol=1e-6)
+        result = graph_separation(branch_points(spec, approx, tol=1e-6))
         assert not result.holds
 
 
