@@ -6,7 +6,7 @@ phi_w(base(r(w))), where base(u) is the center of the seed box at u. Each
 cloud then lies within diam * c^n of the true K_v, where diam is the largest
 seed-box diagonal and c the system-wide upper contraction bound.
 
-Deduplication snaps points to a grid an eighth of that bound wide and keeps
+Deduplication snaps points to a grid 1/1024 of that bound wide and keeps
 the lexicographically smallest point per cell, so results are independent of
 evaluation order; the grid diagonal is folded into the reported certificate.
 Depths whose grid cell is too fine for int64 grid keys over the seed boxes

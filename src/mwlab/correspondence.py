@@ -1,4 +1,11 @@
-"""Pointwise evaluation of the bimodule structure living on the cographs.
+"""Sampled bimodule structure on the cographs: whole clouds are mapped once
+per edge, and the evaluators are still called one point at a time.
+
+The whole-cloud functions (norm_two, norm_inf, is_invariant) map each vertex
+cloud as one array per incoming edge or path step; the per-point functions
+(inner_product, expectation, tensor_eval) map single coordinate tuples with
+plain float arithmetic. Either way the evaluators receive LabeledPoints, one
+point at a time.
 
 Functions on the union of cographs are represented by evaluators
 (x, y, edge) -> complex; functions on the invariant set by evaluators
@@ -61,8 +68,25 @@ def _incoming(spec, vertex):
 
 
 def _map_point(spec, edge, y):
-    image = spec.edge_maps[edge.id].apply(y.array())
-    return LabeledPoint(vertex=edge.source, coords=tuple(float(c) for c in image))
+    return LabeledPoint(edge.source, spec.edge_maps[edge.id].apply_coords(y.coords))
+
+
+def _rows(points):
+    """The rows of an (N, d) array as coordinate tuples, produced lazily from
+    one Python list of floats per column (half the memory of a list of rows)."""
+    return zip(*points.T.tolist())
+
+
+def _cloud_with_images(spec, approx, vertex):
+    """Yield each cloud point y at a vertex with the pairs (e, phi_e(y)) over
+    its incoming edges, in declaration order. The cloud is mapped once per
+    edge; the LabeledPoints are built as the points are reached."""
+    points = approx.cloud(vertex).points
+    edges = _incoming(spec, vertex)
+    images = [_rows(spec.edge_maps[e.id].apply(points)) for e in edges]
+    for row, *image_rows in zip(_rows(points), *images):
+        yield LabeledPoint(vertex, row), [
+            (e, LabeledPoint(e.source, r)) for e, r in zip(edges, image_rows)]
 
 
 def xi_zero(spec):
@@ -99,11 +123,8 @@ def expectation(spec, a, y):
 
 def sample_points(approx):
     """All cloud points as labeled points, in deterministic order."""
-    out = []
-    for v in sorted(approx.clouds):
-        for row in approx.clouds[v].points:
-            out.append(LabeledPoint(vertex=v, coords=tuple(float(c) for c in row)))
-    return out
+    return [LabeledPoint(v, row) for v in sorted(approx.clouds)
+            for row in _rows(approx.clouds[v].points)]
 
 
 def norm_two(spec, approx, xi):
@@ -113,18 +134,23 @@ def norm_two(spec, approx, xi):
     of continuity of xi, which is not estimated here.
     """
     best = 0.0
-    for y in sample_points(approx):
-        value = inner_product(spec, xi, xi, y).real
-        best = max(best, math.sqrt(max(value, 0.0)))
+    for v in sorted(approx.clouds):
+        for y, images in _cloud_with_images(spec, approx, v):
+            total = 0j
+            for e, x in images:
+                z = xi(x, y, e.id)
+                total += z.conjugate() * z
+            best = max(best, math.sqrt(max(total.real, 0.0)))
     return best
 
 
 def norm_inf(spec, approx, xi):
     """Sampled sup norm of xi over the cograph points above the clouds."""
     best = 0.0
-    for y in sample_points(approx):
-        for e in _incoming(spec, y.vertex):
-            best = max(best, abs(xi(_map_point(spec, e, y), y, e.id)))
+    for v in sorted(approx.clouds):
+        for y, images in _cloud_with_images(spec, approx, v):
+            for e, x in images:
+                best = max(best, abs(xi(x, y, e.id)))
     return best
 
 
@@ -139,9 +165,8 @@ def tensor_eval(spec, xis, path, y):
     if len(xis) != path.length:
         raise ValueError(
             f"need one factor per edge: {len(xis)} factors, {path.length} edges")
-    y = np.asarray(y, dtype=float)
     edges = [spec.graph.edge(eid) for eid in path.edges]
-    points = [LabeledPoint(vertex=edges[-1].range, coords=tuple(float(c) for c in y))]
+    points = [LabeledPoint(edges[-1].range, np.asarray(y, dtype=float))]
     for e in reversed(edges):
         points.append(_map_point(spec, e, points[-1]))
     points.reverse()  # points[k] = phi_{w_{k+1} ... w_n}(y), points[0] outermost
@@ -156,24 +181,31 @@ def is_invariant(spec, a, n, approx, tol):
 
     For every sampled y and all length-n paths alpha, beta ending at the
     vertex of y and starting at a common vertex, the values a(phi_alpha(y))
-    and a(phi_beta(y)) must agree within tol.
+    and a(phi_beta(y)) must agree within tol; the values are measured from
+    their lexicographic (real, imag) minimum. The observable is called path
+    by path over a whole cloud image; vertices are taken in sorted order and
+    the check stops at the first one that fails.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    paths_into = {v: [] for v in spec.graph.vertices}
-    for v in spec.graph.vertices:
-        for p in paths_from(spec.graph, v, n):
-            paths_into[p.range].append(p)
-    for y in sample_points(approx):
-        by_source = {}
-        for p in paths_into[y.vertex]:
-            image = y
-            for eid in reversed(p.edges):
-                image = _map_point(spec, spec.graph.edge(eid), image)
-            by_source.setdefault(p.source, []).append(a(image))
-        for values in by_source.values():
-            lo = min(values, key=lambda z: (z.real, z.imag))
-            for z in values:
-                if abs(z - lo) > tol:
-                    return False
+    groups = {}  # range -> source -> length-n paths, in enumeration order
+    for u in spec.graph.vertices:
+        for p in paths_from(spec.graph, u, n):
+            groups.setdefault(p.range, {}).setdefault(u, []).append(p)
+    for v in sorted(approx.clouds):
+        cloud = approx.cloud(v).points
+        columns = np.arange(len(cloud))
+        for u, paths in groups.get(v, {}).items():
+            values = np.empty((len(paths), len(cloud)), dtype=complex)
+            for row, p in zip(values, paths):
+                image = cloud
+                for eid in reversed(p.edges):
+                    image = spec.edge_maps[eid].apply(image)
+                row[:] = np.fromiter(
+                    (a(LabeledPoint(u, c)) for c in _rows(image)),
+                    dtype=complex, count=len(cloud))
+            first = np.lexsort((values.imag, values.real), axis=0)[0]
+            values -= values[first, columns]
+            if np.any(np.abs(values) > tol):
+                return False
     return True

@@ -40,7 +40,7 @@ class LabeledPoint:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(float, self.coords)))
 
     @property
     def dimension(self):
@@ -74,7 +74,7 @@ class AffineContraction:
     are exact rather than estimates. Construction requires c_upper < 1.
     """
 
-    __slots__ = ("matrix", "translation", "c_lower", "c_upper")
+    __slots__ = ("matrix", "translation", "c_lower", "c_upper", "_rows", "_shift")
 
     def __init__(self, matrix, translation):
         m = np.array(matrix, dtype=float)
@@ -92,6 +92,8 @@ class AffineContraction:
         self.translation = t
         self.c_lower = lo
         self.c_upper = hi
+        self._rows = tuple(tuple(row) for row in m.tolist())
+        self._shift = tuple(t.tolist())
 
     @property
     def dimension(self):
@@ -103,6 +105,21 @@ class AffineContraction:
         if a.ndim == 1:
             return self.matrix @ a + self.translation
         return a @ self.matrix.T + self.translation
+
+    def apply_coords(self, x):
+        """Apply to one point given as a tuple of floats; returns a tuple.
+
+        Plain float arithmetic, for callers that map points one at a time.
+        """
+        rows, t = self._rows, self._shift
+        if len(t) == 2:
+            (a, b), (c, d) = rows
+            x0, x1 = x
+            return (a * x0 + b * x1 + t[0], c * x0 + d * x1 + t[1])
+        if len(t) == 1:
+            return (rows[0][0] * x[0] + t[0],)
+        return tuple(sum(m * c for m, c in zip(row, x)) + s
+                     for row, s in zip(rows, t))
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""

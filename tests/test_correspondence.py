@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import approx_for, bundled
 from mwlab.attractor import invariant_list
 from mwlab.correspondence import (
     CographFunction,
@@ -17,7 +18,8 @@ from mwlab.correspondence import (
     tensor_eval,
     xi_zero,
 )
-from mwlab.geometry import LabeledPoint
+from mwlab.datasets import list_bundled
+from mwlab.geometry import AffineContraction, LabeledPoint
 from mwlab.graph import paths_from
 from specs_inline import binary_ifs, cantor_ifs, duplicate_map_ifs, two_part_dust
 
@@ -261,3 +263,176 @@ class TestInvariance:
         spec, approx = binary
         ident = SampledObservable(lambda x: x.coords[0])
         assert not is_invariant(spec, ident, 1, approx, tol=0.25)
+
+
+# --- per-point references for the whole-cloud functions ---------------------
+#
+# These are the loops norm_two, norm_inf and is_invariant used to run: one
+# numpy map and one LabeledPoint per (point, edge), evaluators called point by
+# point. The batched functions must agree with them.
+
+
+def _ref_map(spec, edge, y):
+    image = spec.edge_maps[edge.id].apply(y.array())
+    return LabeledPoint(vertex=edge.source, coords=tuple(float(c) for c in image))
+
+
+def ref_norm_two(spec, approx, xi):
+    best = 0.0
+    for y in sample_points(approx):
+        value = 0j
+        for e in spec.graph.in_edges(y.vertex):
+            x = _ref_map(spec, e, y)
+            value += xi(x, y, e.id).conjugate() * xi(x, y, e.id)
+        best = max(best, math.sqrt(max(value.real, 0.0)))
+    return best
+
+
+def ref_norm_inf(spec, approx, xi):
+    best = 0.0
+    for y in sample_points(approx):
+        for e in spec.graph.in_edges(y.vertex):
+            best = max(best, abs(xi(_ref_map(spec, e, y), y, e.id)))
+    return best
+
+
+def ref_value_groups(spec, a, n, approx):
+    """For each sampled y and start vertex u, the values a(phi_alpha(y)) over
+    the length-n paths alpha from u to the vertex of y."""
+    paths_into = {v: [] for v in spec.graph.vertices}
+    for v in spec.graph.vertices:
+        for p in paths_from(spec.graph, v, n):
+            paths_into[p.range].append(p)
+    for y in sample_points(approx):
+        by_source = {}
+        for p in paths_into[y.vertex]:
+            image = y
+            for eid in reversed(p.edges):
+                image = _ref_map(spec, spec.graph.edge(eid), image)
+            by_source.setdefault(p.source, []).append(a(image))
+        yield from by_source.values()
+
+
+def _lex_min(values):
+    return min(values, key=lambda z: (z.real, z.imag))
+
+
+def ref_is_invariant(spec, a, n, approx, tol):
+    for values in ref_value_groups(spec, a, n, approx):
+        lo = _lex_min(values)
+        if any(abs(z - lo) > tol for z in values):
+            return False
+    return True
+
+
+def ref_spread(spec, a, n, approx):
+    """The smallest tol at which the reference calls a invariant."""
+    return max((abs(z - _lex_min(values))
+                for values in ref_value_groups(spec, a, n, approx)
+                for z in values), default=0.0)
+
+
+# duplicate_map is left out: its invariant set is a single point
+REFERENCE_SYSTEMS = [(name, 4 if name == "squares_z2" else 6)
+                     for name in list_bundled() if name != "duplicate_map"]
+
+
+@pytest.mark.parametrize("name,depth", REFERENCE_SYSTEMS)
+class TestAgainstPerPointReference:
+    def test_norms(self, name, depth):
+        spec, approx = bundled(name), approx_for(name, depth)
+        rng = np.random.RandomState(4141)
+        for _ in range(3):
+            xi = random_cograph_function(rng, spec)
+            assert abs(norm_two(spec, approx, xi)
+                       - ref_norm_two(spec, approx, xi)) <= 1e-12
+            assert abs(norm_inf(spec, approx, xi)
+                       - ref_norm_inf(spec, approx, xi)) <= 1e-12
+
+    def test_invariance_verdicts(self, name, depth):
+        spec, approx = bundled(name), approx_for(name, depth)
+        observables = [
+            SampledObservable(lambda x: 2.5),
+            SampledObservable(lambda x: x.coords[0]),
+            # equal real parts: only the imaginary part separates the paths,
+            # so the lexicographic minimum is decided by its second key
+            SampledObservable(lambda x: 1.0 + 1j * math.sin(7.0 * sum(x.coords))),
+            random_observable(np.random.RandomState(4243)),
+        ]
+        for a in observables:
+            for n in (1, 2):
+                spread = ref_spread(spec, a, n, approx)
+                # just below and just above the spread about the lexicographic
+                # minimum: a check measuring from any other value flips one
+                for tol in (1e-12, spread * (1 - 1e-9), spread * (1 + 1e-9), 10.0):
+                    assert is_invariant(spec, a, n, approx, tol) == \
+                        ref_is_invariant(spec, a, n, approx, tol), (a, n, tol)
+
+
+class TestBatching:
+    @staticmethod
+    def count_apply(monkeypatch):
+        calls = []
+        original = AffineContraction.apply
+
+        def counted(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(AffineContraction, "apply", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["two_part_dust", "squares_z2", "penrose"])
+    def test_norms_map_each_cloud_once_per_edge(self, monkeypatch, name):
+        spec, approx = bundled(name), approx_for(name, 5)
+        xi = random_cograph_function(np.random.RandomState(5), spec)
+        pairs = sum(len(spec.graph.in_edges(v)) for v in approx.clouds)
+        calls = self.count_apply(monkeypatch)
+        norm_two(spec, approx, xi)
+        assert len(calls) <= pairs
+        calls.clear()
+        norm_inf(spec, approx, xi)
+        assert len(calls) <= pairs
+
+    @pytest.mark.parametrize("name", ["two_part_dust", "squares_z2", "penrose"])
+    def test_invariance_maps_each_cloud_once_per_path_step(self, monkeypatch, name):
+        spec, approx = bundled(name), approx_for(name, 5)
+        paths = sum(1 for v in spec.graph.vertices
+                    for p in paths_from(spec.graph, v, 2) if p.range in approx.clouds)
+        calls = self.count_apply(monkeypatch)
+        # a constant observable never fails, so every vertex is visited
+        assert is_invariant(spec, SampledObservable(lambda x: 1.0), 2, approx, 1e-12)
+        assert len(calls) <= 2 * paths
+
+
+def assert_maps_agree(m, points):
+    """apply_coords against apply, batched and per point, within 4 ulp of the
+    magnitude |M| |x| + |t| of the terms summed.
+
+    Ulps of the result itself are no measure here: numpy's matmul may round
+    differently (fused multiply-add, another summation order), and where the
+    terms cancel to a result near zero one rounding step of the terms is
+    thousands of ulps of the result.
+    """
+    mapped = np.array([m.apply_coords(tuple(p)) for p in points.tolist()])
+    scale = np.abs(points) @ np.abs(m.matrix.T) + np.abs(m.translation)
+    for reference in (m.apply(points), np.array([m.apply(p) for p in points])):
+        assert np.all(np.abs(mapped - reference) <= 4 * np.spacing(scale))
+
+
+class TestPointMap:
+    @pytest.mark.parametrize("name", list_bundled())
+    def test_tuple_map_matches_array_map(self, name):
+        spec = bundled(name)
+        rng = np.random.RandomState(2024)
+        for m in spec.edge_maps.values():
+            assert_maps_agree(m, rng.uniform(-2.0, 2.0, size=(1000, spec.dimension)))
+
+    def test_bundled_maps_cover_both_dimensions(self):
+        assert {bundled(n).dimension for n in list_bundled()} == {1, 2}
+
+    def test_three_dimensional_map(self):
+        rng = np.random.RandomState(3)
+        m = AffineContraction(0.3 * np.linalg.qr(rng.normal(size=(3, 3)))[0],
+                              rng.uniform(-1, 1, 3))
+        assert_maps_agree(m, rng.uniform(-2.0, 2.0, size=(1000, 3)))
