@@ -185,6 +185,10 @@ def is_invariant(spec, a, n, approx, tol):
     their lexicographic (real, imag) minimum. The observable is called path
     by path over a whole cloud image; vertices are taken in sorted order and
     the check stops at the first one that fails.
+
+    Memory grows with paths x points: each group of paths sharing a start
+    and an end vertex holds one complex value per (path, cloud point), and
+    the number of paths grows like (edges per vertex)^n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

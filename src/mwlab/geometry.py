@@ -110,15 +110,14 @@ class AffineContraction:
         """Apply to one point given as a tuple of floats; returns a tuple.
 
         Plain float arithmetic, for callers that map points one at a time.
+        A point of another dimension raises ValueError, as in apply.
         """
         rows, t = self._rows, self._shift
-        if len(t) == 2:
+        if len(t) == 2:  # the plane, written out: same sums as the loop below
             (a, b), (c, d) = rows
             x0, x1 = x
             return (a * x0 + b * x1 + t[0], c * x0 + d * x1 + t[1])
-        if len(t) == 1:
-            return (rows[0][0] * x[0] + t[0],)
-        return tuple(sum(m * c for m, c in zip(row, x)) + s
+        return tuple(sum(m * c for m, c in zip(row, x, strict=True)) + s
                      for row, s in zip(rows, t))
 
     def compose(self, other):

@@ -429,10 +429,27 @@ class TestPointMap:
             assert_maps_agree(m, rng.uniform(-2.0, 2.0, size=(1000, spec.dimension)))
 
     def test_bundled_maps_cover_both_dimensions(self):
-        assert {bundled(n).dimension for n in list_bundled()} == {1, 2}
+        assert {1, 2} <= {bundled(n).dimension for n in list_bundled()}
+
+    @pytest.mark.parametrize("make,coords", [
+        (binary_ifs, (0.5, 0.5)),
+        (two_part_dust, (0.5,)),
+        (two_part_dust, (0.5, 0.5, 0.5)),
+    ])
+    def test_point_of_wrong_dimension_raises(self, make, coords):
+        spec = make()
+        path = next(iter(paths_from(spec.graph, spec.graph.vertices[0], 1)))
+        one = CographFunction(lambda x, y, e: 1.0)
+        with pytest.raises(ValueError):
+            inner_product(spec, one, one, LabeledPoint(path.range, coords))
+        with pytest.raises(ValueError):
+            tensor_eval(spec, [one], path, coords)
 
     def test_three_dimensional_map(self):
         rng = np.random.RandomState(3)
         m = AffineContraction(0.3 * np.linalg.qr(rng.normal(size=(3, 3)))[0],
                               rng.uniform(-1, 1, 3))
         assert_maps_agree(m, rng.uniform(-2.0, 2.0, size=(1000, 3)))
+        for coords in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.4)):
+            with pytest.raises(ValueError):
+                m.apply_coords(coords)
