@@ -70,7 +70,6 @@ from .graph import (
     Graph,
     Path,
     has_sinks_or_sources,
-    is_cyclic_permutation,
     is_irreducible,
     paths_from,
     vertex_matrix,

@@ -11,9 +11,19 @@ the lexicographically smallest point per cell, so results are independent of
 evaluation order; the grid diagonal is folded into the reported certificate.
 Depths whose grid cell is too fine for int64 grid keys over the seed boxes
 are refused with a ResolutionError before any point is computed.
+
+The dedup works on per-axis ranks rather than on coordinate rows. Ranking
+each coordinate among its axis's distinct values preserves order, and so does
+ranking its grid column, because floor(value / cell) never decreases as the
+value grows. One int64 key built from the value ranks therefore sorts points
+exactly as comparing coordinates axis by axis would, and one built from the
+column ranks names each point's cell. A stable sort by the first key followed
+by the first occurrence of each cell key keeps, per cell, the point that
+compares smallest (ties, such as 0.0 and -0.0, go to the earlier path).
 """
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -207,21 +217,66 @@ def total_paths(spec, depth):
 
 
 def _point_budget(explicit):
+    """The budget from point_budget=, else from the environment, else the
+    default; anything but a positive integer is refused with a ValueError."""
     if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(POINT_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_POINT_BUDGET
+        raw = explicit
+        source = f"point_budget= (which overrides {POINT_BUDGET_ENV})"
+    else:
+        raw, source = os.environ.get(POINT_BUDGET_ENV), POINT_BUDGET_ENV
+        if not raw:
+            return DEFAULT_POINT_BUDGET
+    try:
+        budget = int(raw) if isinstance(raw, str) else operator.index(raw)
+    except (TypeError, ValueError):
+        budget = None
+    if isinstance(raw, bool) or budget is None or budget < 1:
+        raise ValueError(
+            f"point budget from {source} must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _dedup_sorted(points, cell):
-    """Lexicographically sort and keep the smallest point per grid cell."""
-    order = np.lexsort(points.T[::-1])
-    pts = points[order]
-    keys = np.floor(pts / cell).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return pts[np.sort(first)]
+    """Keep the lexicographically smallest point per grid cell, in lexicographic
+    order; points that compare equal (±0.0 included) keep their input order.
+
+    Each axis is ranked once: np.unique gives every point the dense rank of its
+    coordinate among the column's distinct values, and since floor(value / cell)
+    is monotone in the value, a running count of its changes over those sorted
+    distinct values gives the dense rank of the grid column. Mixed-radix
+    combinations of the per-axis ranks are two int64 keys, one ordering points
+    exactly as a lexicographic sort of their coordinates and one naming their
+    cell; the first point of each cell in a stable sort by the value key is the
+    cell's lexicographically smallest.
+    """
+    n, d = points.shape
+    value_key = np.zeros(n, dtype=np.int64)
+    cell_key = np.zeros(n, dtype=np.int64)
+    span = 1
+    for axis in range(d):
+        values, rank = np.unique(points[:, axis], return_inverse=True)
+        # both keys stay below the product of the distinct-value counts
+        span *= len(values)
+        if span > 2 ** 63:
+            raise ResolutionError(
+                f"{n} points in {d} dimensions overflow int64 dedup keys")
+        cols = np.floor(values / cell)
+        col_rank = np.zeros(len(values), dtype=np.int64)
+        np.cumsum(cols[1:] != cols[:-1], out=col_rank[1:])
+        # each del frees a cloud-sized array before the next one is made
+        del values, cols
+        value_key *= len(col_rank)
+        value_key += rank
+        cell_key *= int(col_rank[-1]) + 1 if n else 1
+        cell_key += col_rank[rank]
+        del rank, col_rank
+    order = np.argsort(value_key, kind="stable")
+    del value_key
+    _, first = np.unique(cell_key[order], return_index=True)
+    del cell_key
+    keep = np.zeros(n, dtype=bool)
+    keep[first] = True
+    return points[order[keep]]
 
 
 def invariant_list(spec, depth, point_budget=None):

@@ -7,7 +7,6 @@ source(e_{i+1}). Parallel edges and loops are fully supported.
 
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError
 from .ktheory import IntMatrix
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "SinkSourceReport",
     "has_sinks_or_sources",
     "is_irreducible",
-    "is_cyclic_permutation",
     "paths_from",
     "vertex_matrix",
 ]
@@ -156,21 +154,6 @@ def is_irreducible(g):
                 reach[v] |= extra
                 changed = True
     return all(len(reach[v]) == len(g.vertices) for v in g.vertices)
-
-
-def is_cyclic_permutation(g):
-    """True iff every vertex has out-degree exactly 1.
-
-    Requires an irreducible graph with no sinks or sources; anything else is a
-    precondition violation.
-    """
-    report = has_sinks_or_sources(g)
-    if not report.clean:
-        raise PreconditionError(
-            f"graph has sinks {list(report.sinks)} or sources {list(report.sources)}")
-    if not is_irreducible(g):
-        raise PreconditionError("graph is not irreducible")
-    return all(len(g.out_edges(v)) == 1 for v in g.vertices)
 
 
 def paths_from(g, vertex, n):

@@ -91,6 +91,11 @@ class TestInvariantList:
         monkeypatch.setenv("MWLAB_POINT_BUDGET", "100000")
         invariant_list(spec, 8)
 
+    @pytest.mark.parametrize("budget", [0, -5, 2.0, True, "abc"])
+    def test_invalid_explicit_budget(self, budget):
+        with pytest.raises(ValueError, match="MWLAB_POINT_BUDGET"):
+            invariant_list(binary_ifs(), 3, point_budget=budget)
+
     @pytest.mark.parametrize("maker,depth", [(one_loop, 1100),
                                              (thin_cantor, 9)])
     def test_certificate_below_grid_key_range(self, maker, depth):

@@ -98,6 +98,15 @@ class TestAttractor:
         assert code == 3
         assert "resource error" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+    def test_invalid_budget_exit_code(self, monkeypatch, value):
+        monkeypatch.setenv("MWLAB_POINT_BUDGET", value)
+        code, out, err = run_cli("attractor", "binary_ifs", "--depth", "3")
+        assert code == 2
+        assert err.startswith("error:") and "MWLAB_POINT_BUDGET" in err
+        assert "positive integer" in err and repr(value) in err
+        assert out == ""
+
     @pytest.mark.parametrize("maker,depth", [(one_loop, 1100),
                                              (thin_cantor, 9)])
     def test_grid_key_resolution_exit_code(self, tmp_path, maker, depth):
