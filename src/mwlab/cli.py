@@ -129,6 +129,16 @@ def _cmd_ktheory(args, out):
         raise SpecValidationError("ktheory needs a system or --matrix")
     if not matrix.is_square:
         raise SpecValidationError("vertex matrix must be square")
+    if args.matrix:
+        # K0 = coker(1 - A^t) needs a graph without sinks; a spec is checked
+        # for sinks and sources when it loads, a bare matrix only here
+        sinks = [i for i in range(matrix.rows) if not any(matrix.row(i))]
+        sources = [j for j in range(matrix.cols) if not any(matrix.column(j))]
+        if sinks or sources:
+            raise SpecValidationError(
+                "graph must have no sinks and no sources; found sink vertices "
+                f"{sinks} (zero rows) and source vertices {sources} "
+                "(zero columns)")
     summary = ktheory_summary(matrix)
     out.write("vertex matrix:\n")
     for row in summary["vertex_matrix"]:

@@ -3,6 +3,19 @@ abelian groups, and K-groups of a graph algebra from its vertex matrix.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is involved anywhere in this module.
+
+One elimination routine per normal form (``_smith``, ``_hermite``) serves
+every caller, and builds a unimodular transform only if that caller reads
+it: ``smith_normal_form`` tracks U and V, ``hermite_normal_form`` tracks U,
+``kernel`` tracks V only, and ``cokernel``, ``graph_algebra_ktheory`` and the
+lattice bases behind ``check_exact`` track none. The Smith pivot is the
+first minimal nonzero |entry| of the trailing block in row-major order,
+found as each row's minimum; the column quotients are all read off the pivot
+row before any column step, since a step on column j changes neither column
+k nor another column's pivot-row entry. Both keep the row-major pivot
+sequence of the plain scan-and-step loop, so U, D and V are the same
+whichever caller asks. Row steps start at the pivot column, since every row
+at or below the pivot row is 0 to its left.
 """
 
 from dataclasses import dataclass
@@ -163,63 +176,61 @@ class IntMatrix:
 
 
 class _Worksheet:
-    """Mutable matrix with tracked unimodular row (and optionally column) ops."""
+    """Mutable matrix; the row transform U and column transform V are kept
+    only when asked for, so each caller pays only for what it reads."""
 
-    def __init__(self, m, track_cols=False):
+    def __init__(self, m, track_u=False, track_v=False):
         self.a = [list(row) for row in m._data]
         self.rows, self.cols = m.rows, m.cols
-        self.u = [[1 if i == j else 0 for j in range(self.rows)]
-                  for i in range(self.rows)]
-        self.v = None
-        if track_cols:
-            self.v = [[1 if i == j else 0 for j in range(self.cols)]
-                      for i in range(self.cols)]
+        self.u = _identity_rows(self.rows) if track_u else None
+        self.v = _identity_rows(self.cols) if track_v else None
 
     def swap_rows(self, i, j):
         if i != j:
             self.a[i], self.a[j] = self.a[j], self.a[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
+            if self.u is not None:
+                self.u[i], self.u[j] = self.u[j], self.u[i]
 
     def negate_row(self, i):
         self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
+        if self.u is not None:
+            self.u[i] = [-x for x in self.u[i]]
 
-    def add_row(self, target, source, factor):
+    def add_row(self, target, source, factor, start):
+        """Add ``factor * row source`` to row target. Both eliminations pass
+        the pivot column as ``start``: the source row of ``a`` is 0 before it."""
         if factor:
-            self.a[target] = [x + factor * y
-                              for x, y in zip(self.a[target], self.a[source])]
-            self.u[target] = [x + factor * y
-                              for x, y in zip(self.u[target], self.u[source])]
+            row, src = self.a[target], self.a[source]
+            row[start:] = [x + factor * y
+                           for x, y in zip(row[start:], src[start:])]
+            if self.u is not None:
+                self.u[target] = [x + factor * y
+                                  for x, y in zip(self.u[target], self.u[source])]
 
     def swap_cols(self, i, j):
         if i != j:
-            for row in self.a:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
+            for row in self.a + (self.v or []):
                 row[i], row[j] = row[j], row[i]
 
-    def negate_col(self, j):
-        for row in self.a:
-            row[j] = -row[j]
-        for row in self.v:
-            row[j] = -row[j]
-
-    def add_col(self, target, source, factor):
-        if factor:
-            for row in self.a:
-                row[target] += factor * row[source]
-            for row in self.v:
-                row[target] += factor * row[source]
+    def add_cols(self, source, factors):
+        """Add ``f * column source`` to column j for every ``(j, f)``; rows
+        whose column-source entry is 0 are left alone."""
+        if not factors:
+            return
+        for row in self.a + (self.v or []):
+            x = row[source]
+            if x:
+                for j, f in factors:
+                    row[j] += f * x
 
 
-def hermite_normal_form(m):
-    """Row-style Hermite normal form.
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    Returns ``(H, U)`` with ``U @ m == H``, ``U`` unimodular, ``H`` in row
-    echelon form with positive pivots and entries above each pivot reduced
-    into ``[0, pivot)``.
-    """
-    w = _Worksheet(m)
+
+def _hermite(m, track_u):
+    """Worksheet whose ``a`` is the row-style Hermite normal form of m."""
+    w = _Worksheet(m, track_u=track_u)
     pivot_row = 0
     for col in range(w.cols):
         # gcd-reduce the entries at or below pivot_row in this column
@@ -234,7 +245,7 @@ def hermite_normal_form(m):
             done = True
             for i in range(pivot_row + 1, w.rows):
                 q = w.a[i][col] // w.a[pivot_row][col]
-                w.add_row(i, pivot_row, -q)
+                w.add_row(i, pivot_row, -q, col)
                 if w.a[i][col] != 0:
                     done = False
             if done:
@@ -243,10 +254,21 @@ def hermite_normal_form(m):
             p = w.a[pivot_row][col]
             for i in range(pivot_row):
                 q = w.a[i][col] // p
-                w.add_row(i, pivot_row, -q)
+                w.add_row(i, pivot_row, -q, col)
             pivot_row += 1
             if pivot_row == w.rows:
                 break
+    return w
+
+
+def hermite_normal_form(m):
+    """Row-style Hermite normal form.
+
+    Returns ``(H, U)`` with ``U @ m == H``, ``U`` unimodular, ``H`` in row
+    echelon form with positive pivots and entries above each pivot reduced
+    into ``[0, pivot)``.
+    """
+    w = _hermite(m, track_u=True)
     return IntMatrix(w.a), IntMatrix(w.u)
 
 
@@ -268,53 +290,61 @@ class SmithDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def smith_normal_form(m):
-    """Smith normal form by elementary operations with minimal-entry pivoting."""
-    w = _Worksheet(m, track_cols=True)
-    n = min(w.rows, w.cols)
-    for k in range(n):
+def _smith(m, track_u, track_v):
+    """Worksheet whose ``a`` is the Smith normal form of m, by elementary
+    operations with minimal-entry pivoting."""
+    w = _Worksheet(m, track_u=track_u, track_v=track_v)
+    a = w.a
+    for k in range(min(w.rows, w.cols)):
         while True:
-            # find the minimal nonzero entry in the trailing block
-            best = None
+            # first minimal nonzero |entry| of the trailing block in
+            # row-major order; no row can beat a minimum of 1
+            best, best_i = None, None
             for i in range(k, w.rows):
-                for j in range(k, w.cols):
-                    x = w.a[i][j]
-                    if x != 0 and (best is None or abs(x) < abs(w.a[best[0]][best[1]])):
-                        best = (i, j)
+                x = min(filter(None, map(abs, a[i][k:])), default=None)
+                if x is not None and (best is None or x < best):
+                    best, best_i = x, i
+                    if x == 1:
+                        break
             if best is None:
                 break
-            w.swap_rows(k, best[0])
-            w.swap_cols(k, best[1])
-            if w.a[k][k] < 0:
+            w.swap_rows(k, best_i)
+            w.swap_cols(k, k + list(map(abs, a[k][k:])).index(best))
+            if a[k][k] < 0:
                 w.negate_row(k)
-            pivot = w.a[k][k]
+            pivot = a[k][k]
             dirty = False
             for i in range(k + 1, w.rows):
-                q = w.a[i][k] // pivot
-                w.add_row(i, k, -q)
-                if w.a[i][k] != 0:
+                q = a[i][k] // pivot
+                w.add_row(i, k, -q, k)
+                if a[i][k] != 0:
                     dirty = True
-            for j in range(k + 1, w.cols):
-                q = w.a[k][j] // pivot
-                w.add_col(j, k, -q)
-                if w.a[k][j] != 0:
-                    dirty = True
-            if dirty:
+            # column j's quotient reads only a[k][j] and a[k][k], which the
+            # other columns' steps leave alone: take them all at once
+            factors = [(j, -(a[k][j] // pivot)) for j in range(k + 1, w.cols)]
+            w.add_cols(k, [(j, f) for j, f in factors if f])
+            if dirty or any(a[k][k + 1:]):
                 continue
             # enforce divisibility: pivot must divide the trailing block
-            offender = None
-            for i in range(k + 1, w.rows):
-                for j in range(k + 1, w.cols):
-                    if w.a[i][j] % pivot != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # (1 divides everything)
+            offender = None if pivot == 1 else next(
+                (i for i in range(k + 1, w.rows)
+                 if any(x % pivot for x in a[i][k + 1:])), None)
             if offender is None:
                 break
-            w.add_row(k, offender, 1)
-        if k < w.rows and k < w.cols and w.a[k][k] == 0:
+            w.add_row(k, offender, 1, k)
+        if a[k][k] == 0:
             break
+    return w
+
+
+def _diagonal(w):
+    return tuple(w.a[i][i] for i in range(min(w.rows, w.cols)))
+
+
+def smith_normal_form(m):
+    """Smith normal form by elementary operations with minimal-entry pivoting."""
+    w = _smith(m, track_u=True, track_v=True)
     return SmithDecomposition(IntMatrix(w.u), IntMatrix(w.a), IntMatrix(w.v))
 
 
@@ -386,9 +416,9 @@ def kernel(m):
     Returns ``(group, basis)`` where the group is free of rank cols - rank(m)
     and ``basis`` is an IntMatrix whose columns form a primitive basis.
     """
-    snf = smith_normal_form(m)
-    diag = snf.diagonal
-    basis_cols = [snf.V.column(j) for j in range(m.cols)
+    w = _smith(m, track_u=False, track_v=True)
+    diag = _diagonal(w)
+    basis_cols = [tuple(row[j] for row in w.v) for j in range(m.cols)
                   if j >= len(diag) or diag[j] == 0]
     group = FgAbelianGroup(len(basis_cols))
     return group, IntMatrix.from_columns(basis_cols, rows=m.cols)
@@ -396,9 +426,9 @@ def kernel(m):
 
 def cokernel(m):
     """Cokernel Z^rows / column-span(m) in invariant-factor form."""
-    snf = smith_normal_form(m)
+    diag = _diagonal(_smith(m, track_u=False, track_v=False))
     return FgAbelianGroup.from_invariant_factors(
-        snf.diagonal, extra_free=m.rows - len(snf.diagonal))
+        diag, extra_free=m.rows - len(diag))
 
 
 @dataclass(frozen=True)
@@ -413,6 +443,9 @@ def graph_algebra_ktheory(vertex_matrix):
 
     Both come from one Smith form of the square matrix 1 - A^t: its zero
     diagonal entries come last, one per free generator of the kernel.
+
+    Precondition: the graph has no sinks (no zero row of A). With a sink,
+    coker(1 - A^t) is not K0; this function does not check for it.
     """
     if not vertex_matrix.is_square:
         raise ValueError("vertex matrix must be square")
@@ -420,10 +453,10 @@ def graph_algebra_ktheory(vertex_matrix):
         raise ValueError("vertex matrix must be nonnegative")
     n = vertex_matrix.rows
     delta = IntMatrix.identity(n) - vertex_matrix.transpose()
-    snf = smith_normal_form(delta)
-    return GraphKTheory(K0=FgAbelianGroup.from_invariant_factors(snf.diagonal),
-                        K1=FgAbelianGroup(n - snf.rank),
-                        invariant_factors=snf.diagonal)
+    diag = _diagonal(_smith(delta, track_u=False, track_v=False))
+    return GraphKTheory(K0=FgAbelianGroup.from_invariant_factors(diag),
+                        K1=FgAbelianGroup(sum(1 for d in diag if d == 0)),
+                        invariant_factors=diag)
 
 
 # --- presentations, homomorphisms, exactness ---------------------------------
@@ -457,8 +490,8 @@ class Presentation:
 
 def _lattice_rows(m):
     """Canonical basis (as HNF rows) of the lattice spanned by the columns of m."""
-    h, _ = hermite_normal_form(m.transpose())
-    return [row for row in h._data if any(row)]
+    return [tuple(row) for row in _hermite(m.transpose(), track_u=False).a
+            if any(row)]
 
 
 def _reduce_against(rows, vector):

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mwlab
 from mwlab.cli import main
 from mwlab.graph import vertex_matrix
 from mwlab.ktheory import IntMatrix
@@ -202,6 +207,35 @@ class TestKTheory:
     def test_nonsquare_rejected(self):
         code, _, _ = run_cli("ktheory", "--matrix", "1,2,3;4,5,6")
         assert code == 2
+
+    @pytest.mark.parametrize("text, named", [
+        ("0", "sink vertices [0] (zero rows) and source vertices [0]"),
+        ("0,1;0,0", "sink vertices [1] (zero rows) and source vertices [0]"),
+    ])
+    def test_sinks_and_sources_rejected(self, text, named):
+        # both graph algebras have K0 = Z, not the 0 that coker(1 - A^t) gives
+        code, out, err = run_cli("ktheory", "--matrix", text)
+        assert code == 2 and out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("text, k0, k1", [
+        ("2", "0", "0"),
+        ("3,1;1,3", "Z/3Z", "0"),
+        ("1,0;0,1", "Z^2", "Z^2"),
+    ])
+    def test_matrix_without_sinks_still_accepted(self, text, k0, k1):
+        code, out, _ = run_cli("ktheory", "--matrix", text)
+        assert code == 0
+        assert f"K0 = {k0}\n" in out and f"K1 = {k1}\n" in out
+
+    def test_python_dash_m_runs_without_install(self):
+        src = Path(mwlab.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwlab", "ktheory", "--matrix", "3,1;1,3"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "K0 = Z/3Z" in proc.stdout
 
 
 class TestReport:
