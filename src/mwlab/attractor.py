@@ -180,7 +180,6 @@ class VertexCloud:
 
     vertex: str
     points: np.ndarray
-    resolution: float
     _tree: object = field(default=None, repr=False, compare=False)
 
     def __len__(self):
@@ -279,6 +278,13 @@ def _dedup_sorted(points, cell):
     return points[order[keep]]
 
 
+def _certificate(spec, depth):
+    """(truncation term diam * c^n, dedup grid cell, error bound) at a depth."""
+    base_err = spec.max_diameter * spec.contraction_upper ** depth
+    cell = base_err / _DEDUP_DIVISOR
+    return base_err, cell, base_err + math.sqrt(spec.dimension) * cell
+
+
 def invariant_list(spec, depth, point_budget=None):
     """Approximate the invariant list at the given depth.
 
@@ -296,8 +302,7 @@ def invariant_list(spec, depth, point_budget=None):
             f"{budget}; lower the depth or raise {POINT_BUDGET_ENV}",
             required=needed, budget=budget)
 
-    base_err = spec.max_diameter * spec.contraction_upper ** depth
-    cell = base_err / _DEDUP_DIVISOR
+    base_err, cell, error_bound = _certificate(spec, depth)
     # grid keys are int64: every |coordinate| / cell must stay below 2**62;
     # compared without dividing, since cell underflows to 0.0 at large depths
     extent = max(abs(x) for box in spec.seed_boxes.values()
@@ -316,11 +321,8 @@ def invariant_list(spec, depth, point_budget=None):
         pts = {v: (np.vstack(chunks) if chunks else np.empty((0, spec.dimension)))
                for v, chunks in gathered.items()}
 
-    error_bound = base_err + math.sqrt(spec.dimension) * cell
-    clouds = {}
-    for v in spec.graph.vertices:
-        cleaned = _dedup_sorted(pts[v], cell)
-        clouds[v] = VertexCloud(vertex=v, points=cleaned, resolution=error_bound)
+    clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(pts[v], cell))
+              for v in spec.graph.vertices}
     return InvariantListApprox(clouds=clouds, depth=depth, error_bound=error_bound)
 
 
@@ -348,7 +350,7 @@ def coding_map_prefix(spec, path, base=None):
         raise ValueError(
             f"base point {base.tolist()} lies outside the seed box of {path.range!r}")
     value = _apply_along(spec, path, base[None, :])[0]
-    return LabeledPoint(vertex=path.source, coords=tuple(float(x) for x in value))
+    return LabeledPoint(vertex=path.source, coords=value)
 
 
 def cylinder_set(spec, path, approx):

@@ -2,25 +2,29 @@
 set condition, and the hypothesis bundle for simplicity and pure infiniteness
 of the associated algebra.
 
-Branch detection runs two complementary routes per parallel edge pair. The
-sampled route scans the computed cloud for near-coincidences at the requested
-tolerance. Because every edge map is affine, the coincidence equation
-phi_e(y) = phi_f(y) is also solved exactly as a linear system; a solution that
-lands within the cloud's certified resolution yields an exact witness whose
-coordinates do not depend on the sampling depth. Reported branch points prefer
-the exact witness.
+Branch detection runs two complementary checks per parallel edge pair. The
+sampled check scans the computed cloud for near-coincidences at the requested
+tolerance. Because every edge map is affine, the coincidence set
+{y : phi_e(y) = phi_f(y)} is also solved once as a linear system: it is empty
+or y0 + ker(M_e - M_f), for every rank of M_e - M_f. Each cloud point within
+the certified error bound plus tol of that set yields its projection onto it
+(y0 itself when the kernel is {0}) as a witness whose coordinates do not
+depend on the sampling depth; no KD-tree is built. Reported branch points
+prefer these witnesses.
 
 Only pairs sharing both source and range are compared: components at distinct
 vertices are disjoint by the labeling convention, so no coincidence can occur
 across them.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .attractor import _certificate
 from .errors import SpecValidationError
 from .geometry import (
     ConvexPolygon,
@@ -77,78 +81,48 @@ class BranchReport:
         return len(self.branch_points)
 
 
-def _parallel_pairs(graph):
-    out = []
-    edges = graph.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if (edges[i].source == edges[j].source
-                    and edges[i].range == edges[j].range):
-                out.append((edges[i], edges[j]))
-    return out
-
-
 def _suggest_depth(spec, tol):
     """Smallest depth whose certificate out-resolves tol/4."""
-    c = spec.contraction_upper
     target = tol / 4.0
-    scale = spec.max_diameter * (1 + math.sqrt(spec.dimension) / 8)
-    if target >= scale:
-        return 1
-    return max(1, math.ceil(math.log(target / scale) / math.log(c)))
-
-
-@dataclass
-class _PairScan:
-    edge_e: str
-    edge_f: str
-    sampled_min: float
-    detections: list      # (x_coords, y_coords, certified)
-    certified_zero: bool
+    # start one below the logarithmic estimate, which rounding can overshoot
+    depth = max(1, math.ceil(math.log(target / _certificate(spec, 0)[2])
+                             / math.log(spec.contraction_upper)) - 1)
+    while _certificate(spec, depth)[2] >= target:
+        depth += 1
+    return depth
 
 
 def _scan_pair(spec, approx, e, f, tol):
+    """(sampled minimum gap, [(x, y, certified)], certified zero) for one
+    parallel pair; certified detections lie on the coincidence set."""
     me, mf = spec.edge_maps[e.id], spec.edge_maps[f.id]
-    cloud = approx.cloud(e.range)
-    pts = cloud.points
+    pts = approx.cloud(e.range).points
     diff_matrix = me.matrix - mf.matrix
     diff_shift = mf.translation - me.translation
     gaps = np.linalg.norm(pts @ diff_matrix.T - diff_shift, axis=1)
     sampled_min = float(gaps.min())
+    detections = [(me.apply(pts[i]), pts[i], False)
+                  for i in np.nonzero(gaps <= tol)[0]]
 
-    detections = []
-    for idx in np.nonzero(gaps <= tol)[0]:
-        y = pts[idx]
-        detections.append((me.apply(y), y, False))
-
-    certified_zero = False
-    u, sigma, vt = np.linalg.svd(diff_matrix)
+    # the coincidence set is y0 + ker(diff_matrix), or empty
+    _, sigma, vt = np.linalg.svd(diff_matrix)
     scale = max(1.0, float(sigma.max(initial=0.0)))
     rank = int(np.sum(sigma > _RANK_CUTOFF * scale))
-    d = spec.dimension
-    membership_slack = approx.error_bound + tol
-    if rank == d:
-        y_star = np.linalg.solve(diff_matrix, diff_shift)
-        if cloud.distance_to(y_star) <= membership_slack:
-            detections.insert(0, (me.apply(y_star), y_star, True))
-            certified_zero = True
+    if rank == spec.dimension:
+        y0 = np.linalg.solve(diff_matrix, diff_shift)
+        # the set is {y0}; adding a zero projection would turn -0.0 into 0.0
+        projected = np.broadcast_to(y0, pts.shape)
     else:
-        # rank-deficient: either no solution at all, or an affine subspace
-        y0, residual, *_ = np.linalg.lstsq(diff_matrix, diff_shift, rcond=None)
-        consistent = np.linalg.norm(diff_matrix @ y0 - diff_shift) <= \
-            1e-9 * max(1.0, np.linalg.norm(diff_shift))
-        if consistent:
-            null_basis = vt[rank:].T  # orthonormal columns spanning the kernel
-            rel = pts - y0
-            projected = y0 + (rel @ null_basis) @ null_basis.T
-            dist = np.linalg.norm(pts - projected, axis=1)
-            close = np.nonzero(dist <= membership_slack)[0]
-            if close.size:
-                certified_zero = True
-            for idx in close:
-                q = projected[idx]
-                detections.append((me.apply(q), q, True))
-    return _PairScan(e.id, f.id, sampled_min, detections, certified_zero)
+        y0 = np.linalg.lstsq(diff_matrix, diff_shift, rcond=None)[0]
+        if np.linalg.norm(diff_matrix @ y0 - diff_shift) > \
+                1e-9 * max(1.0, np.linalg.norm(diff_shift)):
+            return sampled_min, detections, False
+        null_basis = vt[rank:].T  # orthonormal columns spanning the kernel
+        projected = y0 + ((pts - y0) @ null_basis) @ null_basis.T
+    dist = np.linalg.norm(pts - projected, axis=1)
+    close = np.nonzero(dist <= approx.error_bound + tol)[0]
+    detections += [(me.apply(projected[i]), projected[i], True) for i in close]
+    return sampled_min, detections, close.size > 0
 
 
 def _cluster(detections, tol, source_vertex, range_vertex):
@@ -170,8 +144,8 @@ def _cluster(detections, tol, source_vertex, range_vertex):
     for x, y, edges, certified in clusters:
         ordered = tuple(sorted(edges))
         out.append(BranchPoint(
-            x=LabeledPoint(vertex=source_vertex, coords=tuple(float(c) for c in x)),
-            y=LabeledPoint(vertex=range_vertex, coords=tuple(float(c) for c in y)),
+            x=LabeledPoint(vertex=source_vertex, coords=x),
+            y=LabeledPoint(vertex=range_vertex, coords=y),
             edges=ordered,
             index=len(ordered),
             certified=certified))
@@ -187,31 +161,22 @@ def branch_points(spec, approx, tol):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    pairs = _parallel_pairs(spec.graph)
     sufficient = approx.error_bound < tol / 4.0
-    suggested = None if sufficient else _suggest_depth(spec, tol)
-    if not pairs:
-        return BranchReport(
-            branch_points=[], min_cograph_gap=math.inf, tol=tol,
-            sample_depth=approx.depth, has_parallel_pairs=False,
-            sampled_min_gap=math.inf, scan_resolution_sufficient=sufficient,
-            suggested_depth=suggested)
+    parallel = {}
+    for e in spec.graph.edges:
+        parallel.setdefault((e.source, e.range), []).append(e)
 
     sampled_min = math.inf
     true_min = math.inf
     points = []
-    by_signature = {}
-    for e, f in pairs:
-        scan = _scan_pair(spec, approx, e, f, tol)
-        sampled_min = min(sampled_min, scan.sampled_min)
-        true_min = min(true_min,
-                       0.0 if scan.certified_zero else scan.sampled_min)
-        sig = (e.source, e.range)
-        bucket = by_signature.setdefault(sig, [])
-        for x, y, certified in scan.detections:
-            bucket.append((x, y, certified, (e.id, f.id)))
-
-    for (source, rng), detections in sorted(by_signature.items()):
+    for (source, rng), edges in sorted(parallel.items()):
+        detections = []
+        for e, f in itertools.combinations(edges, 2):
+            pair_min, found, certified_zero = _scan_pair(spec, approx, e, f, tol)
+            sampled_min = min(sampled_min, pair_min)
+            true_min = min(true_min, 0.0 if certified_zero else pair_min)
+            detections += [(x, y, certified, (e.id, f.id))
+                           for x, y, certified in found]
         detections.sort(key=lambda item: (not item[2],
                                           tuple(item[0]), tuple(item[1])))
         points.extend(_cluster(detections, tol, source, rng))
@@ -219,9 +184,10 @@ def branch_points(spec, approx, tol):
     points.sort(key=lambda bp: (bp.edges, bp.x.coords))
     return BranchReport(
         branch_points=points, min_cograph_gap=true_min, tol=tol,
-        sample_depth=approx.depth, has_parallel_pairs=True,
+        sample_depth=approx.depth,
+        has_parallel_pairs=any(len(edges) > 1 for edges in parallel.values()),
         sampled_min_gap=sampled_min, scan_resolution_sufficient=sufficient,
-        suggested_depth=suggested)
+        suggested_depth=None if sufficient else _suggest_depth(spec, tol))
 
 
 def branch_index(spec, x, y, tol):
@@ -244,7 +210,6 @@ class SeparationResult:
     min_gap: float
     witness: tuple | None
     note: str
-    report: BranchReport = field(repr=False, default=None)
 
 
 def graph_separation(report):
@@ -263,7 +228,7 @@ def graph_separation(report):
             if holds else
             "separation fails: distinct cographs intersect")
     return SeparationResult(holds=holds, min_gap=report.min_cograph_gap,
-                            witness=witness, note=note, report=report)
+                            witness=witness, note=note)
 
 
 @dataclass
@@ -271,13 +236,11 @@ class OscResult:
     holds: bool | None
     failures: tuple
 
-    @property
-    def known(self):
-        return self.holds is not None
-
 
 def _candidate_pieces(spec, vertex):
-    pieces = spec.open_sets[vertex]
+    pieces = spec.open_sets.get(vertex)
+    if not pieces:
+        raise SpecValidationError(f"missing open-set candidate at {vertex!r}")
     box = spec.seed_boxes[vertex]
     tol = 1e-9 * max(1.0, box.diameter)
     for piece in pieces:
@@ -307,17 +270,14 @@ def open_set_condition(spec, tol=1e-9):
     """
     if spec.open_sets is None:
         return OscResult(holds=None, failures=())
-    for v in spec.graph.vertices:
-        if v not in spec.open_sets or not spec.open_sets[v]:
-            raise SpecValidationError(f"missing open-set candidate at {v!r}")
+    candidates = {v: _candidate_pieces(spec, v) for v in spec.graph.vertices}
     failures = []
     one_d = spec.dimension == 1
-    images = {}
-    for e in spec.graph.edges:
-        m = spec.edge_maps[e.id]
-        images[e.id] = [p.transform(m) for p in _candidate_pieces(spec, e.range)]
+    images = {e.id: [p.transform(spec.edge_maps[e.id])
+                     for p in candidates[e.range]]
+              for e in spec.graph.edges}
     for v in spec.graph.vertices:
-        target = _candidate_pieces(spec, v)
+        target = candidates[v]
         out = spec.graph.out_edges(v)
         for e in out:
             for k, piece in enumerate(images[e.id]):
@@ -374,10 +334,6 @@ def simplicity_report(spec, branch_report, osc):
         verdict = Verdict.HYPOTHESES_NOT_MET
 
     details = {
-        "sinks": list(sinks.sinks),
-        "sources": list(sinks.sources),
-        "osc_failures": list(osc.failures),
-        "branch_count": branch_report.count,
         "quotient_dimension": branch_report.count,
         "left_action_by_compacts": branch_report.count == 0,
     }

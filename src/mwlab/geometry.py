@@ -184,14 +184,14 @@ def similarity_from_pairs(p1, q1, p2, q2, reflect=False):
     return AffineContraction(m, [t.real, t.imag])
 
 
-def hausdorff_distance(a, b, workers=-1):
+def hausdorff_distance(a, b):
     """Exact Hausdorff distance between two finite point sets (N, d)."""
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
     if pa.size == 0 or pb.size == 0:
         raise GeometryError("Hausdorff distance needs nonempty point sets")
-    d_ab = cKDTree(pb).query(pa, workers=workers)[0].max()
-    d_ba = cKDTree(pa).query(pb, workers=workers)[0].max()
+    d_ab = cKDTree(pb).query(pa, workers=-1)[0].max()
+    d_ba = cKDTree(pa).query(pb, workers=-1)[0].max()
     return float(max(d_ab, d_ba))
 
 

@@ -444,13 +444,17 @@ def graph_algebra_ktheory(vertex_matrix):
     Both come from one Smith form of the square matrix 1 - A^t: its zero
     diagonal entries come last, one per free generator of the kernel.
 
-    Precondition: the graph has no sinks (no zero row of A). With a sink,
-    coker(1 - A^t) is not K0; this function does not check for it.
+    The graph must have no sinks (zero rows of A), since with a sink
+    coker(1 - A^t) is not K0; a sink raises ValueError. Sources are allowed.
     """
     if not vertex_matrix.is_square:
         raise ValueError("vertex matrix must be square")
     if any(x < 0 for row in vertex_matrix._data for x in row):
         raise ValueError("vertex matrix must be nonnegative")
+    sinks = [i for i, row in enumerate(vertex_matrix._data) if not any(row)]
+    if sinks:
+        raise ValueError(f"graph has sinks: zero rows {sinks} of the vertex "
+                         "matrix; coker(1 - A^t) is not K0")
     n = vertex_matrix.rows
     delta = IntMatrix.identity(n) - vertex_matrix.transpose()
     diag = _diagonal(_smith(delta, track_u=False, track_v=False))

@@ -193,7 +193,7 @@ def _matrix_lines(rows):
     return ["  " + str(row) for row in rows]
 
 
-def render_text(report, include_timings=True):
+def render_text(report):
     hyp = report.hypothesis
     branch = report.branch
     lines = [
@@ -261,7 +261,7 @@ def render_text(report, include_timings=True):
     if report.reference:
         lines += ["", "reference metadata (stated, not computed):"]
         lines += [f"  {k}: {v}" for k, v in report.reference.items()]
-    if include_timings and report.timings:
+    if report.timings:
         lines += ["", "timings: " + "  ".join(
             f"{k}={v:.3f}" for k, v in report.timings.items())]
     return "\n".join(lines) + "\n"

@@ -182,25 +182,26 @@ def test_criterion_4_branch_detection():
 
 def test_criterion_5_separation_dichotomy():
     dust = bundled("two_part_dust")
-    dust_sep = graph_separation(
-        branch_points(dust, approx_for("two_part_dust", 9), tol=1e-6))
+    dust_branch = branch_points(dust, approx_for("two_part_dust", 9), tol=1e-6)
+    dust_sep = graph_separation(dust_branch)
     assert dust_sep.holds and dust_sep.min_gap > 0
     # no parallel pair exists, so the exact and sampled routes agree trivially
-    assert not dust_sep.report.has_parallel_pairs
-    assert math.isinf(dust_sep.report.sampled_min_gap)
+    assert not dust_branch.has_parallel_pairs
+    assert math.isinf(dust_branch.sampled_min_gap)
 
     squares = bundled("squares_z2")
     approx = approx_for("squares_z2", 9)
-    sq_sep = graph_separation(branch_points(squares, approx, tol=1e-6))
+    sq_branch = branch_points(squares, approx, tol=1e-6)
+    sq_sep = graph_separation(sq_branch)
     assert not sq_sep.holds
     e, f, y = sq_sep.witness
     assert (e, f) == ("e1", "e2")
     assert np.linalg.norm(np.subtract(y.coords, (1.0, 1.0))) <= 1e-9
     # exact certificate and sampled scan agree: the certified coincidence is
     # exact zero, and the sampled minimum is within the scan's own resolution
-    assert sq_sep.report.min_cograph_gap == 0.0
-    assert sq_sep.report.branch_points[0].certified
-    assert sq_sep.report.sampled_min_gap <= 4 * approx.error_bound
+    assert sq_branch.min_cograph_gap == 0.0
+    assert sq_branch.branch_points[0].certified
+    assert sq_branch.sampled_min_gap <= 4 * approx.error_bound
     _ok(5, "two_part_dust separation holds; squares_z2 fails with witness "
            "y = (1,1); exact and sampled routes agree on both")
 

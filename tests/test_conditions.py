@@ -120,7 +120,6 @@ class TestSeparation:
             report = branch_points(spec, approx, tol=1e-6)
             result = graph_separation(report)
             assert result.holds == (report.count == 0)
-            assert result.report is report
 
 
 class TestOpenSetCondition:
@@ -154,6 +153,21 @@ class TestOpenSetCondition:
         assert result.holds is False
         assert any("containment" in f for f in result.failures)
 
+    @pytest.mark.parametrize("pieces, message", [
+        ([], "missing open-set candidate at 'v'"),
+        ([(0.0, 1.5)], "open-set piece at 'v' leaves the seed box"),
+    ])
+    def test_invalid_candidate_rejected(self, pieces, message):
+        from mwlab.geometry import Interval
+        spec = MWGraphSpec(
+            graph=Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")]),
+            dimension=1,
+            seed_boxes={"v": SeedBox((0.0,), (1.0,))},
+            edge_maps={"e1": affine1(0.5, 0.0), "e2": affine1(0.5, 0.5)},
+            open_sets={"v": [Interval(lo, hi) for lo, hi in pieces]})
+        with pytest.raises(SpecValidationError, match=message):
+            open_set_condition(spec)
+
 
 class TestSimplicityReport:
     def test_squares_simple_purely_infinite(self):
@@ -163,7 +177,8 @@ class TestSimplicityReport:
         assert report.no_sinks_sources and report.irreducible
         assert report.not_cyclic_permutation
         assert report.open_set_condition is True
-        assert report.details["branch_count"] == 1
+        assert branch_points(spec, approx_for("squares_z2", 9),
+                             tol=1e-6).count == 1
         assert report.details["quotient_dimension"] == 1
         assert report.details["left_action_by_compacts"] is False
 
@@ -187,7 +202,8 @@ class TestSimplicityReport:
     def test_dust_zero_branch_details(self):
         spec = bundled("two_part_dust")
         report = hypotheses(spec, approx_for("two_part_dust", 9), tol=1e-6)
-        assert report.details["branch_count"] == 0
+        assert branch_points(spec, approx_for("two_part_dust", 9),
+                             tol=1e-6).count == 0
         assert report.details["left_action_by_compacts"] is True
 
 
@@ -231,6 +247,14 @@ class TestResolutionBookkeeping:
         report = branch_points(spec, approx, tol=0.1)
         assert report.scan_resolution_sufficient
         assert report.suggested_depth is None
+
+    @pytest.mark.parametrize("name", ["binary_ifs", "duplicate_map"])
+    def test_suggested_depth_is_the_smallest(self, name):
+        # the first depth whose computed certificate is below tol/4
+        spec, tol = bundled(name), 1e-3
+        n = branch_points(spec, approx_for(name, 7), tol=tol).suggested_depth
+        assert invariant_list(spec, n).error_bound < tol / 4
+        assert tol / 4 <= invariant_list(spec, n - 1).error_bound
 
     def test_rejects_nonpositive_tol(self):
         spec = binary_ifs()

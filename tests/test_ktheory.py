@@ -272,11 +272,16 @@ class TestGraphKTheory:
         singular = 0
         for a in matrices:
             delta = IntMatrix.identity(a.rows) - a.transpose()
+            singular += det_cofactor(delta) == 0
+            if any(not any(a.row(i)) for i in range(a.rows)):
+                # a sink (zero row): coker(1 - A^t) is not K0, so it is refused
+                with pytest.raises(ValueError, match="sinks"):
+                    graph_algebra_ktheory(a)
+                continue
             kt = graph_algebra_ktheory(a)
             assert kt.K0 == cokernel(delta)
             assert kt.K1 == kernel(delta)[0]
             assert kt.invariant_factors == smith_normal_form(delta).diagonal
-            singular += det_cofactor(delta) == 0
         assert singular >= 2  # [[1]] and [[2, 1], [1, 2]] at least
 
     def test_rejects_bad_input(self):
@@ -284,6 +289,19 @@ class TestGraphKTheory:
             graph_algebra_ktheory(IntMatrix([[1, 2, 3]]))
         with pytest.raises(ValueError):
             graph_algebra_ktheory(IntMatrix([[-1]]))
+
+    def test_rejects_sinks_and_names_them(self):
+        # one vertex and no edges is C, with K0 = Z; coker(1 - 0) = 0 is wrong
+        with pytest.raises(ValueError, match=r"zero rows \[0\]"):
+            graph_algebra_ktheory(IntMatrix([[0]]))
+        with pytest.raises(ValueError, match=r"zero rows \[1\]"):
+            graph_algebra_ktheory(IntMatrix([[1, 1], [0, 0]]))
+
+    def test_sources_allowed(self):
+        # vertex 0 is a source (zero column): coker(1 - A^t) is still K0
+        kt = graph_algebra_ktheory(IntMatrix([[0, 1], [0, 1]]))
+        assert kt.K0 == FgAbelianGroup(1)
+        assert kt.K1 == FgAbelianGroup(1)
 
 
 class TestGroupNotation:

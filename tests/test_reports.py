@@ -40,5 +40,4 @@ def test_one_branch_scan_osc_check_and_smith_form(call_counts, name):
     report = build_analysis_report(spec, 7, 1e-6, approx=approx_for(name, 7))
     assert call_counts == {"branch_points": 1, "open_set_condition": 1,
                            "_smith": 1}
-    assert report.separation.report is report.branch
     assert report.hypothesis.open_set_condition == report.osc.holds
