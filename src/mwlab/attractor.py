@@ -23,7 +23,6 @@ compares smallest (ties, such as 0.0 and -0.0, go to the earlier path).
 """
 
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -215,23 +214,19 @@ def total_paths(spec, depth):
     return sum(sum(a.row(i)) for i in range(a.rows))
 
 
-def _point_budget(explicit):
-    """The budget from point_budget=, else from the environment, else the
-    default; anything but a positive integer is refused with a ValueError."""
-    if explicit is not None:
-        raw = explicit
-        source = f"point_budget= (which overrides {POINT_BUDGET_ENV})"
-    else:
-        raw, source = os.environ.get(POINT_BUDGET_ENV), POINT_BUDGET_ENV
-        if not raw:
-            return DEFAULT_POINT_BUDGET
+def _point_budget():
+    """The budget from the environment, else the default; anything but a
+    positive integer is refused with a ValueError."""
+    raw = os.environ.get(POINT_BUDGET_ENV)
+    if not raw:
+        return DEFAULT_POINT_BUDGET
     try:
-        budget = int(raw) if isinstance(raw, str) else operator.index(raw)
-    except (TypeError, ValueError):
-        budget = None
-    if isinstance(raw, bool) or budget is None or budget < 1:
-        raise ValueError(
-            f"point budget from {source} must be a positive integer, got {raw!r}")
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"point budget from {POINT_BUDGET_ENV} must be a "
+                         f"positive integer, got {raw!r}")
     return budget
 
 
@@ -285,7 +280,7 @@ def _certificate(spec, depth):
     return base_err, cell, base_err + math.sqrt(spec.dimension) * cell
 
 
-def invariant_list(spec, depth, point_budget=None):
+def invariant_list(spec, depth):
     """Approximate the invariant list at the given depth.
 
     The reported error bound covers both the path truncation (diam * c^n) and
@@ -294,7 +289,7 @@ def invariant_list(spec, depth, point_budget=None):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    budget = _point_budget(point_budget)
+    budget = _point_budget()
     needed = total_paths(spec, depth)
     if needed > budget:
         raise BudgetExceededError(

@@ -12,10 +12,11 @@ from pathlib import Path
 from .attractor import invariant_list, write_point_cloud_csv
 from .datasets import bundled_text, list_bundled, load_bundled
 from .errors import BudgetExceededError, ResolutionError, SpecValidationError
+from .graph import vertex_matrix
 from .ktheory import IntMatrix
 from .render import render_attractor
-from .reports import build_analysis_report, ktheory_summary, render_json, \
-    render_text
+from .reports import build_analysis_report, ktheory_lines, ktheory_summary, \
+    reference_lines, render_json, render_text
 from .specio import parse_spec
 
 DEFAULT_DEPTH = 10
@@ -107,10 +108,8 @@ def _cmd_conditions(args, out, with_residuals=False):
     spec = _resolve_spec(args.spec)
     report = build_analysis_report(spec, args.depth, args.tol,
                                    with_residuals=with_residuals)
-    if args.format == "json":
-        out.write(render_json(report))
-    else:
-        out.write(render_text(report))
+    render = render_json if args.format == "json" else render_text
+    out.write(render(report))
     return 0
 
 
@@ -122,7 +121,6 @@ def _cmd_ktheory(args, out):
         reference = None
     elif args.spec:
         spec = _resolve_spec(args.spec)
-        from .graph import vertex_matrix
         matrix = vertex_matrix(spec.graph)
         reference = spec.reference
     else:
@@ -139,20 +137,10 @@ def _cmd_ktheory(args, out):
                 "graph must have no sinks and no sources; found sink vertices "
                 f"{sinks} (zero rows) and source vertices {sources} "
                 "(zero columns)")
-    summary = ktheory_summary(matrix)
-    out.write("vertex matrix:\n")
-    for row in summary["vertex_matrix"]:
-        out.write(f"  {row}\n")
-    out.write("1 - transpose:\n")
-    for row in summary["one_minus_transpose"]:
-        out.write(f"  {row}\n")
-    out.write(f"invariant factors: {summary['invariant_factors']}\n")
-    out.write(f"K0 = {summary['K0']['text']}\n")
-    out.write(f"K1 = {summary['K1']['text']}\n")
+    lines = ktheory_lines(ktheory_summary(matrix))
     if reference:
-        out.write("reference metadata (stated, not computed):\n")
-        for key, value in reference.items():
-            out.write(f"  {key}: {value}\n")
+        lines += reference_lines(reference)
+    out.write("".join(line + "\n" for line in lines))
     return 0
 
 

@@ -81,11 +81,25 @@ class BranchReport:
         return len(self.branch_points)
 
 
+def _check_tol(tol, exact_ok=False):
+    """Refuse a tol that is not finite, or whose quarter is not positive: the
+    branch scan resolves tol/4. Where exact_ok, tol = 0 (an exact test) and
+    any finite tol >= 0 is accepted."""
+    if exact_ok:
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    elif not (math.isfinite(tol) and tol / 4.0 > 0):
+        raise ValueError(
+            f"tol must be finite and positive, with tol/4 > 0, got {tol!r}")
+
+
 def _suggest_depth(spec, tol):
     """Smallest depth whose certificate out-resolves tol/4."""
     target = tol / 4.0
-    # start one below the logarithmic estimate, which rounding can overshoot
-    depth = max(1, math.ceil(math.log(target / _certificate(spec, 0)[2])
+    # start one below the logarithmic estimate, which rounding can overshoot;
+    # a difference of logarithms, since target / bound can underflow to 0.0
+    depth = max(1, math.ceil((math.log(target)
+                              - math.log(_certificate(spec, 0)[2]))
                              / math.log(spec.contraction_upper)) - 1)
     while _certificate(spec, depth)[2] >= target:
         depth += 1
@@ -159,8 +173,7 @@ def branch_points(spec, approx, tol):
     certified coincidence inside the invariant set; otherwise it is the
     sampled minimum (a resolution-limited estimate).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     sufficient = approx.error_bound < tol / 4.0
     parallel = {}
     for e in spec.graph.edges:
@@ -268,6 +281,7 @@ def open_set_condition(spec, tol=1e-9):
     candidate at source(e), and that images of distinct edges with a common
     source have disjoint interiors.
     """
+    _check_tol(tol, exact_ok=True)
     if spec.open_sets is None:
         return OscResult(holds=None, failures=())
     candidates = {v: _candidate_pieces(spec, v) for v in spec.graph.vertices}

@@ -35,7 +35,3 @@ class BudgetExceededError(MWLabError):
 class ResolutionError(MWLabError):
     """The requested sampling resolution cannot be represented or reached,
     e.g. a certificate finer than float64 grid keys can resolve."""
-
-    def __init__(self, message, suggested_depth=None):
-        super().__init__(message)
-        self.suggested_depth = suggested_depth

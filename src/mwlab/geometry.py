@@ -42,10 +42,6 @@ class LabeledPoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(map(float, self.coords)))
 
-    @property
-    def dimension(self):
-        return len(self.coords)
-
     def array(self):
         return np.asarray(self.coords, dtype=float)
 
@@ -125,10 +121,6 @@ class AffineContraction:
         return AffineContraction(
             self.matrix @ other.matrix,
             self.matrix @ other.translation + self.translation)
-
-    def fixed_point(self):
-        d = self.dimension
-        return np.linalg.solve(np.eye(d) - self.matrix, self.translation)
 
     def __repr__(self):
         return (f"AffineContraction(dim={self.dimension}, "

@@ -134,8 +134,6 @@ class IntMatrix:
         return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
                           for row in self._data])
 
-    __mul__ = __matmul__
-
     def __pow__(self, n):
         if not self.is_square:
             raise ValueError("matrix power needs a square matrix")
@@ -149,12 +147,6 @@ class IntMatrix:
             base = base @ base
             n >>= 1
         return result
-
-    def apply(self, vector):
-        """Matrix-vector product on an integer vector."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * x for a, x in zip(row, vector)) for row in self._data)
 
     @property
     def shape(self):
@@ -284,10 +276,6 @@ class SmithDecomposition:
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
         return tuple(self.D[i, i] for i in range(n))
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
 
 
 def _smith(m, track_u, track_v):
@@ -485,33 +473,11 @@ class Presentation:
     def trivial(cls):
         return cls.free(0)
 
-    def group(self):
-        """Canonical invariant-factor form of the presented group."""
-        if self.relations.cols == 0:
-            return FgAbelianGroup(self.generators)
-        return cokernel(self.relations)
-
 
 def _lattice_rows(m):
     """Canonical basis (as HNF rows) of the lattice spanned by the columns of m."""
     return [tuple(row) for row in _hermite(m.transpose(), track_u=False).a
             if any(row)]
-
-
-def _reduce_against(rows, vector):
-    """Reduce a vector against HNF basis rows; zero iff in the lattice."""
-    v = list(vector)
-    for row in rows:
-        pivot_col = next(j for j, x in enumerate(row) if x != 0)
-        if v[pivot_col] % row[pivot_col] == 0:
-            q = v[pivot_col] // row[pivot_col]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-    return v
-
-
-def _lattice_contains(rows, vector):
-    return all(x == 0 for x in _reduce_against(rows, vector))
 
 
 def _hstack(a, b):
@@ -537,16 +503,14 @@ class GroupHom:
             raise ValueError("hom does not respect the domain relations")
 
     def is_well_defined(self):
-        """matrix maps every domain relation into the codomain relation lattice."""
+        """matrix maps every domain relation into the codomain relation
+        lattice: adding the images to its spanning columns leaves the lattice
+        (its HNF rows) unchanged."""
         if self.domain.relations.cols == 0:
             return True
-        target = _lattice_rows(self.codomain.relations)
-        for j in range(self.domain.relations.cols):
-            image = self.matrix.apply(self.domain.relations.column(j))
-            if any(image):
-                if not target or not _lattice_contains(target, image):
-                    return False
-        return True
+        r_cod = self.codomain.relations
+        return (_lattice_rows(_hstack(r_cod, self.matrix @ self.domain.relations))
+                == _lattice_rows(r_cod))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
-"""Assembly of analysis reports and their text / JSON renderings.
+"""Analysis reports: one deterministic document, rendered as JSON or as text.
 
-JSON output is deterministic: identical inputs give byte-identical documents.
-Wall-clock timings are therefore shown in the text rendering only.
+`build_analysis_report` runs the condition battery and the K-theory once and
+assembles their results into a JSON-ready dict. That document is the report:
+identical inputs give byte-identical documents, `render_json` dumps it, and
+`render_text` is one more rendering of the same dict. Wall-clock timings are
+not part of the document; they travel beside it and show in the text only.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .attractor import invariance_residual, invariant_list, total_paths
 from .conditions import branch_points, graph_separation, open_set_condition, \
@@ -18,6 +21,8 @@ from .ktheory import IntMatrix, graph_algebra_ktheory
 __all__ = [
     "AnalysisReport",
     "ktheory_summary",
+    "ktheory_lines",
+    "reference_lines",
     "build_analysis_report",
     "render_text",
     "render_json",
@@ -61,23 +66,28 @@ def ktheory_summary(matrix, reference=None):
     return out
 
 
+def ktheory_lines(summary):
+    """The K-theory block of a `ktheory_summary`, one line per item."""
+    return ["vertex matrix:", *(f"  {row}" for row in summary["vertex_matrix"]),
+            "1 - transpose:",
+            *(f"  {row}" for row in summary["one_minus_transpose"]),
+            f"invariant factors: {summary['invariant_factors']}",
+            f"K0 = {summary['K0']['text']}",
+            f"K1 = {summary['K1']['text']}"]
+
+
+def reference_lines(reference):
+    """The stated reference metadata of a system, one line per key."""
+    return ["reference metadata (stated, not computed):",
+            *(f"  {key}: {value}" for key, value in reference.items())]
+
+
 @dataclass
 class AnalysisReport:
-    spec_name: str
-    depth: int
-    tol: float
-    error_bound: float
-    points_per_vertex: dict
-    paths_total: int
-    hypothesis: object
-    branch: object
-    separation: object
-    osc: object
-    ktheory: dict
-    residuals: dict | None = None
-    reference: dict | None = None
-    notes: str = ""
-    timings: dict = field(default_factory=dict)
+    """The deterministic report document and the wall-clock timings beside it."""
+
+    document: dict
+    timings: dict
 
 
 def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
@@ -91,8 +101,8 @@ def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
     start = time.perf_counter()
     branch = branch_points(spec, approx, tol)
     osc = open_set_condition(spec, tol=max(tol, 1e-12))
-    separation = graph_separation(branch)
-    hypothesis = simplicity_report(spec, branch, osc)
+    sep = graph_separation(branch)
+    hyp = simplicity_report(spec, branch, osc)
     timings["conditions_s"] = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -100,41 +110,14 @@ def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
                          reference=(spec.reference or {}).get("graph_algebra"))
     timings["ktheory_s"] = time.perf_counter() - start
 
-    residuals = None
-    if with_residuals:
-        start = time.perf_counter()
-        residuals = invariance_residual(spec, approx)
-        timings["residuals_s"] = time.perf_counter() - start
-
-    return AnalysisReport(
-        spec_name=spec.name or "unnamed",
-        depth=approx.depth,
-        tol=tol,
-        error_bound=approx.error_bound,
-        points_per_vertex={v: len(approx.cloud(v)) for v in spec.graph.vertices},
-        paths_total=total_paths(spec, approx.depth),
-        hypothesis=hypothesis,
-        branch=branch,
-        separation=separation,
-        osc=osc,
-        ktheory=kt,
-        residuals=residuals,
-        reference=spec.reference,
-        notes=spec.notes,
-        timings=timings)
-
-
-def report_to_dict(report):
-    branch = report.branch
-    hyp = report.hypothesis
-    sep = report.separation
     doc = {
-        "spec_name": report.spec_name,
-        "depth": report.depth,
-        "tol": report.tol,
-        "error_bound": report.error_bound,
-        "paths_total": report.paths_total,
-        "points_per_vertex": dict(report.points_per_vertex),
+        "spec_name": spec.name or "unnamed",
+        "depth": approx.depth,
+        "tol": tol,
+        "error_bound": approx.error_bound,
+        "paths_total": total_paths(spec, approx.depth),
+        "points_per_vertex": {v: len(approx.cloud(v))
+                              for v in spec.graph.vertices},
         "hypothesis": {
             "no_sinks_sources": hyp.no_sinks_sources,
             "irreducible": hyp.irreducible,
@@ -168,99 +151,86 @@ def report_to_dict(report):
                          "y": _labeled_point_dict(sep.witness[2])}),
             "note": sep.note,
         },
-        "open_set_condition": {
-            "holds": report.osc.holds,
-            "failures": list(report.osc.failures),
-        },
-        "graph_ktheory": report.ktheory,
+        "open_set_condition": {"holds": osc.holds,
+                               "failures": list(osc.failures)},
+        "graph_ktheory": kt,
     }
-    if report.residuals is not None:
-        doc["invariance_residuals"] = dict(report.residuals)
-    if report.reference is not None:
-        doc["reference"] = report.reference
-    return _json_safe(doc)
+    if with_residuals:
+        start = time.perf_counter()
+        doc["invariance_residuals"] = invariance_residual(spec, approx)
+        timings["residuals_s"] = time.perf_counter() - start
+    if spec.reference is not None:
+        doc["reference"] = spec.reference
+    return AnalysisReport(_json_safe(doc), timings)
 
 
 def render_json(report):
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    return json.dumps(report.document, indent=2) + "\n"
 
 
 def _fmt_gap(value):
-    return "none (no parallel edge pair)" if math.isinf(value) else repr(value)
-
-
-def _matrix_lines(rows):
-    return ["  " + str(row) for row in rows]
+    # the document holds None where the gap was inf
+    return "none (no parallel edge pair)" if value is None else repr(value)
 
 
 def render_text(report):
-    hyp = report.hypothesis
-    branch = report.branch
+    doc = report.document
+    hyp, branch, sep = doc["hypothesis"], doc["branch"], doc["separation"]
+    osc = hyp["open_set_condition"]
     lines = [
-        f"system: {report.spec_name}",
-        f"depth: {report.depth}   tolerance: {report.tol!r}   "
-        f"certified error bound: {report.error_bound!r}",
-        f"paths: {report.paths_total}   points: "
-        + ", ".join(f"{v}={n}" for v, n in report.points_per_vertex.items()),
+        f"system: {doc['spec_name']}",
+        f"depth: {doc['depth']}   tolerance: {doc['tol']!r}   "
+        f"certified error bound: {doc['error_bound']!r}",
+        f"paths: {doc['paths_total']}   points: "
+        + ", ".join(f"{v}={n}" for v, n in doc["points_per_vertex"].items()),
         "",
         "hypothesis checks:",
-        f"  no sinks or sources: {hyp.no_sinks_sources}",
-        f"  irreducible: {hyp.irreducible}",
-        f"  not a cyclic permutation: {hyp.not_cyclic_permutation}",
-        f"  open set condition: "
-        + ("unknown (no candidate supplied)" if hyp.open_set_condition is None
-           else str(hyp.open_set_condition)),
-        f"  verdict: {hyp.verdict.value}",
+        f"  no sinks or sources: {hyp['no_sinks_sources']}",
+        f"  irreducible: {hyp['irreducible']}",
+        f"  not a cyclic permutation: {hyp['not_cyclic_permutation']}",
+        "  open set condition: "
+        + ("unknown (no candidate supplied)" if osc is None else str(osc)),
+        f"  verdict: {hyp['verdict']}",
         "",
         "branch analysis:",
-        f"  branch points: {branch.count}",
-        f"  min cograph gap: {_fmt_gap(branch.min_cograph_gap)}",
+        f"  branch points: {branch['count']}",
+        f"  min cograph gap: {_fmt_gap(branch['min_cograph_gap'])}",
         f"  dim of the quotient by the compact-action ideal: "
-        f"{hyp.details['quotient_dimension']}",
-        f"  left action lands in compacts: "
-        f"{hyp.details['left_action_by_compacts']}",
+        f"{hyp['quotient_dimension']}",
+        f"  left action lands in compacts: {hyp['left_action_by_compacts']}",
     ]
-    for bp in branch.branch_points:
+    for bp in branch["branch_points"]:
         lines.append(
-            f"    at x={list(bp.x.coords)} ({bp.x.vertex}) from "
-            f"y={list(bp.y.coords)} via {', '.join(bp.edges)} "
-            f"index={bp.index} certified={bp.certified}")
-    if (branch.has_parallel_pairs and not branch.scan_resolution_sufficient
-            and branch.suggested_depth):
+            f"    at x={bp['x']['coords']} ({bp['x']['vertex']}) from "
+            f"y={bp['y']['coords']} via {', '.join(bp['edges'])} "
+            f"index={bp['index']} certified={bp['certified']}")
+    if (branch["has_parallel_pairs"] and not branch["scan_resolution_sufficient"]
+            and branch["suggested_depth"]):
         lines.append(
             f"  note: sampled scan out-resolves tol only from depth "
-            f"{branch.suggested_depth}; reported witnesses are exact")
+            f"{branch['suggested_depth']}; reported witnesses are exact")
     lines += [
         "",
-        f"graph separation: {'holds' if report.separation.holds else 'fails'}"
-        f" (min gap {_fmt_gap(report.separation.min_gap)})",
-        f"  {report.separation.note}",
+        f"graph separation: {'holds' if sep['holds'] else 'fails'}"
+        f" (min gap {_fmt_gap(sep['min_gap'])})",
+        f"  {sep['note']}",
     ]
-    if report.separation.witness is not None:
-        e, f, y = report.separation.witness
-        lines.append(f"  witness: edges {e}, {f} at y={list(y.coords)}")
-    if report.osc.failures:
+    if sep["witness"] is not None:
+        (e, f), y = sep["witness"]["edges"], sep["witness"]["y"]
+        lines.append(f"  witness: edges {e}, {f} at y={y['coords']}")
+    failures = doc["open_set_condition"]["failures"]
+    if failures:
         lines.append("open set condition failures:")
-        lines += [f"  {item}" for item in report.osc.failures]
-    kt = report.ktheory
-    lines += [
-        "",
-        "graph-algebra K-theory (computed):",
-        "  vertex matrix:",
-        *_matrix_lines(kt["vertex_matrix"]),
-        "  1 - transpose:",
-        *_matrix_lines(kt["one_minus_transpose"]),
-        f"  invariant factors: {kt['invariant_factors']}",
-        f"  K0 = {kt['K0']['text']}",
-        f"  K1 = {kt['K1']['text']}",
-    ]
-    if report.residuals is not None:
+        lines += [f"  {item}" for item in failures]
+    lines += ["", "graph-algebra K-theory (computed):"]
+    lines += [f"  {line}" for line in ktheory_lines(doc["graph_ktheory"])]
+    if "invariance_residuals" in doc:
         lines += ["", "invariance residuals (certified bound "
-                  f"{2 * report.error_bound!r}):"]
-        lines += [f"  {v}: {val!r}" for v, val in report.residuals.items()]
-    if report.reference:
-        lines += ["", "reference metadata (stated, not computed):"]
-        lines += [f"  {k}: {v}" for k, v in report.reference.items()]
+                  f"{2 * doc['error_bound']!r}):"]
+        lines += [f"  {v}: {val!r}"
+                  for v, val in doc["invariance_residuals"].items()]
+    if doc.get("reference"):
+        lines += ["", *reference_lines(doc["reference"])]
     if report.timings:
         lines += ["", "timings: " + "  ".join(
             f"{k}={v:.3f}" for k, v in report.timings.items())]

@@ -42,8 +42,7 @@ from mwlab.ktheory import (
     check_exact,
     smith_normal_form,
 )
-from mwlab.reports import build_analysis_report, ktheory_summary, render_text, \
-    report_to_dict
+from mwlab.reports import build_analysis_report, ktheory_summary, render_text
 
 TAU = (1 + math.sqrt(5)) / 2
 
@@ -346,7 +345,7 @@ def test_criterion_9_reference_metadata_not_computed():
     for name, stated_k0 in (("squares_z2", "Z/2Z"), ("penrose", "Z")):
         spec = bundled(name)
         report = build_analysis_report(spec, 6, 1e-6)
-        doc = report_to_dict(report)
+        doc = report.document
         assert doc["reference"]["full_algebra"]["K0"] == stated_k0
         assert "not computed" in doc["reference"]["note"]
         computed = doc["graph_ktheory"]["K0"]["text"]

@@ -176,6 +176,23 @@ class TestConditions:
         assert doc["branch"]["has_parallel_pairs"] is False
         assert doc["branch"]["min_cograph_gap"] is None
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "5e-324"])
+    def test_unusable_tol_is_input_error(self, tol):
+        # inf passed every check (verdict SimplePurelyInfinite), nan and an
+        # underflowing tol/4 failed without naming the tolerance
+        code, out, err = run_cli("conditions", "duplicate_map", "--depth", "5",
+                                 "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "tol" in err
+
+    def test_tiny_tol_suggests_a_depth(self):
+        # tol/4 divided by the depth-0 certificate underflows to 0.0 here
+        code, out, _ = run_cli("conditions", "two_part_dust", "--depth", "4",
+                               "--tol", "2e-323", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["branch"]["suggested_depth"] == 2591
+
 
 class TestKTheory:
     def test_matrix_squares(self):

@@ -168,6 +168,19 @@ class TestOpenSetCondition:
         with pytest.raises(SpecValidationError, match=message):
             open_set_condition(spec)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-9])
+    def test_unusable_tol_rejected(self, tol):
+        # with tol=inf every containment and overlap test passes, so the
+        # duplicated maps would satisfy the condition
+        with pytest.raises(ValueError, match="tol"):
+            open_set_condition(duplicate_map_ifs(), tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, 5e-324])
+    def test_branch_scan_rejects_unusable_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            branch_points(bundled("squares_z2"), approx_for("squares_z2", 5),
+                          tol)
+
 
 class TestSimplicityReport:
     def test_squares_simple_purely_infinite(self):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwlab.errors import PreconditionError
 from mwlab.ktheory import (
@@ -18,6 +20,7 @@ from mwlab.ktheory import (
     hermite_normal_form,
     kernel,
     smith_normal_form,
+    _lattice_rows,
 )
 
 
@@ -196,9 +199,8 @@ class TestKernelCokernel:
         for _ in range(100):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), -5, 5)
             _, basis = kernel(m)
-            for j in range(basis.cols):
-                assert all(x == 0 for x in m.apply(basis.column(j)))
             if basis.cols:
+                assert (m @ basis).is_zero
                 # primitive basis: the span is saturated, so every invariant
                 # factor of the basis matrix is 1
                 factors = [d for d in smith_normal_form(basis).diagonal if d != 0]
@@ -383,3 +385,74 @@ class TestExactness:
                 GroupHom(cok, triv, IntMatrix.zeros(0, b)),
             ]
             assert check_exact(seq).exact
+
+
+# --- reference: the relation-by-relation membership test ----------------------
+# GroupHom.is_well_defined reduced the image of each domain relation against
+# the codomain lattice's HNF rows; kept verbatim, with IntMatrix.apply (whose
+# only caller it was) written out as _ref_apply.
+
+
+def _ref_apply(matrix, vector):
+    """Matrix-vector product on an integer vector."""
+    if len(vector) != matrix.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(a * x for a, x in zip(row, vector))
+                 for row in matrix.to_lists())
+
+
+def _ref_reduce_against(rows, vector):
+    """Reduce a vector against HNF basis rows; zero iff in the lattice."""
+    v = list(vector)
+    for row in rows:
+        pivot_col = next(j for j, x in enumerate(row) if x != 0)
+        if v[pivot_col] % row[pivot_col] == 0:
+            q = v[pivot_col] // row[pivot_col]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+    return v
+
+
+def _ref_lattice_contains(rows, vector):
+    return all(x == 0 for x in _ref_reduce_against(rows, vector))
+
+
+def ref_is_well_defined(domain, codomain, matrix):
+    """matrix maps every domain relation into the codomain relation lattice."""
+    if domain.relations.cols == 0:
+        return True
+    target = _lattice_rows(codomain.relations)
+    for j in range(domain.relations.cols):
+        image = _ref_apply(matrix, domain.relations.column(j))
+        if any(image):
+            if not target or not _ref_lattice_contains(target, image):
+                return False
+    return True
+
+
+@st.composite
+def hom_candidates(draw):
+    """(domain, codomain, matrix) with 0..3 generators and relations each."""
+    def matrix(rows, cols):
+        data = draw(st.lists(st.lists(st.integers(-4, 4), min_size=cols,
+                                      max_size=cols),
+                             min_size=rows, max_size=rows))
+        return IntMatrix(data) if rows else IntMatrix.zeros(0, cols)
+
+    gens_dom, gens_cod = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    relations_cod = matrix(gens_cod, draw(st.integers(0, 3)))
+    hom = matrix(gens_cod, gens_dom)
+    relations_dom = matrix(gens_dom, draw(st.integers(0, 3)))
+    return (Presentation(gens_dom, relations_dom),
+            Presentation(gens_cod, relations_cod), hom)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hom_candidates())
+def test_well_defined_matches_membership_loop(candidate):
+    domain, codomain, matrix = candidate
+    if ref_is_well_defined(domain, codomain, matrix):
+        assert GroupHom(domain, codomain, matrix).is_well_defined()
+    else:
+        with pytest.raises(ValueError, match="domain relations"):
+            GroupHom(domain, codomain, matrix)
