@@ -7,6 +7,15 @@ cloud as one array per incoming edge or path step; the per-point functions
 plain float arithmetic. Either way the evaluators receive LabeledPoints, one
 point at a time.
 
+The bulk builders (_map_point, _cloud_with_images, sample_points and
+is_invariant's per-point generator) make their LabeledPoints with
+geometry._labeled, which skips the constructor's float coercion. That is safe
+because every tuple they pass is already made of Python floats: rows come from
+ndarray.tolist() on float arrays, and apply_coords returns float sums, so
+each point equals, bit for bit, the one the public constructor would build.
+tensor_eval's base point comes from the caller and goes through the public,
+coercing constructor.
+
 Functions on the union of cographs are represented by evaluators
 (x, y, edge) -> complex; functions on the invariant set by evaluators
 point -> complex. The edge argument resolves points shared by several
@@ -23,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import LabeledPoint
+from .geometry import LabeledPoint, _labeled
 from .graph import paths_from
 
 __all__ = [
@@ -68,7 +77,7 @@ def _incoming(spec, vertex):
 
 
 def _map_point(spec, edge, y):
-    return LabeledPoint(edge.source, spec.edge_maps[edge.id].apply_coords(y.coords))
+    return _labeled(edge.source, spec.edge_maps[edge.id].apply_coords(y.coords))
 
 
 def _rows(points):
@@ -85,8 +94,8 @@ def _cloud_with_images(spec, approx, vertex):
     edges = _incoming(spec, vertex)
     images = [_rows(spec.edge_maps[e.id].apply(points)) for e in edges]
     for row, *image_rows in zip(_rows(points), *images):
-        yield LabeledPoint(vertex, row), [
-            (e, LabeledPoint(e.source, r)) for e, r in zip(edges, image_rows)]
+        yield _labeled(vertex, row), [
+            (e, _labeled(e.source, r)) for e, r in zip(edges, image_rows)]
 
 
 def xi_zero(spec):
@@ -123,7 +132,7 @@ def expectation(spec, a, y):
 
 def sample_points(approx):
     """All cloud points as labeled points, in deterministic order."""
-    return [LabeledPoint(v, row) for v in sorted(approx.clouds)
+    return [_labeled(v, row) for v in sorted(approx.clouds)
             for row in _rows(approx.clouds[v].points)]
 
 
@@ -206,7 +215,7 @@ def is_invariant(spec, a, n, approx, tol):
                 for eid in reversed(p.edges):
                     image = spec.edge_maps[eid].apply(image)
                 row[:] = np.fromiter(
-                    (a(LabeledPoint(u, c)) for c in _rows(image)),
+                    (a(_labeled(u, c)) for c in _rows(image)),
                     dtype=complex, count=len(cloud))
             first = np.lexsort((values.imag, values.real), axis=0)[0]
             values -= values[first, columns]

@@ -32,9 +32,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPoint:
-    """A point together with the id of the vertex component it belongs to."""
+    """A point together with the id of the vertex component it belongs to.
+
+    The constructor turns coords into a tuple of Python floats.
+    """
 
     vertex: str
     coords: tuple
@@ -44,6 +47,37 @@ class LabeledPoint:
 
     def array(self):
         return np.asarray(self.coords, dtype=float)
+
+    def __getstate__(self):
+        return (self.vertex, self.coords)
+
+    def __setstate__(self, state):
+        # pickles written before the class had slots hold its __dict__
+        if isinstance(state, dict):
+            state = (state["vertex"], state["coords"])
+        object.__setattr__(self, "vertex", state[0])
+        object.__setattr__(self, "coords", state[1])
+
+
+# bound once: _labeled runs once per sampled point and image (about 1.1M times
+# in one bimodule-identities benchmark pass); the lookups cost a third of it
+_new_point = object.__new__
+_set_vertex = LabeledPoint.vertex.__set__
+_set_coords = LabeledPoint.coords.__set__
+
+
+def _labeled(vertex, coords):
+    """A LabeledPoint from coords that are already a tuple of Python floats.
+
+    Skips the constructor's coercion, so it is only for tuples made by
+    ndarray.tolist() on float arrays or by AffineContraction.apply_coords;
+    anything else would break the guarantee that coords is a tuple of
+    Python floats.
+    """
+    point = _new_point(LabeledPoint)
+    _set_vertex(point, vertex)
+    _set_coords(point, coords)
+    return point
 
 
 def contraction_bounds(matrix):

@@ -100,7 +100,7 @@ def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
 
     start = time.perf_counter()
     branch = branch_points(spec, approx, tol)
-    osc = open_set_condition(spec, tol=max(tol, 1e-12))
+    osc = open_set_condition(spec)
     sep = graph_separation(branch)
     hyp = simplicity_report(spec, branch, osc)
     timings["conditions_s"] = time.perf_counter() - start

@@ -186,6 +186,18 @@ class TestConditions:
         assert out == ""
         assert "tol" in err
 
+    @pytest.mark.parametrize("tol", ["0.5", "1", "1e300"])
+    def test_large_tol_keeps_open_set_condition_failing(self, tol):
+        # the two maps are identical, so their images overlap at any --tol;
+        # the open-set check has its own slack, independent of the branch tol
+        code, out, _ = run_cli("conditions", "duplicate_map", "--depth", "5",
+                               "--tol", tol, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["open_set_condition"]["holds"] is False
+        assert doc["hypothesis"]["open_set_condition"] is False
+        assert doc["hypothesis"]["verdict"] == "HypothesesNotMet"
+
     def test_tiny_tol_suggests_a_depth(self):
         # tol/4 divided by the depth-0 certificate underflows to 0.0 here
         code, out, _ = run_cli("conditions", "two_part_dust", "--depth", "4",

@@ -242,7 +242,7 @@ def ref_render_text(report):
 def ref_report(spec, approx, tol, with_residuals, timings):
     """The reference report from the same library results the report uses."""
     branch = branch_points(spec, approx, tol)
-    osc = open_set_condition(spec, tol=max(tol, 1e-12))
+    osc = open_set_condition(spec)
     return RefAnalysisReport(
         spec_name=spec.name or "unnamed",
         depth=approx.depth,
