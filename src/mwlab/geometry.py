@@ -48,22 +48,20 @@ class LabeledPoint:
     def array(self):
         return np.asarray(self.coords, dtype=float)
 
-    def __getstate__(self):
-        return (self.vertex, self.coords)
 
-    def __setstate__(self, state):
-        # pickles written before the class had slots hold its __dict__
-        if isinstance(state, dict):
-            state = (state["vertex"], state["coords"])
-        object.__setattr__(self, "vertex", state[0])
-        object.__setattr__(self, "coords", state[1])
+def _setstate(point, state):
+    # pickles written before the class had slots hold its __dict__; later ones
+    # hold the field values in order, from the __getstate__ dataclasses adds
+    if isinstance(state, dict):
+        state = (state["vertex"], state["coords"])
+    vertex, coords = state
+    object.__setattr__(point, "vertex", vertex)
+    object.__setattr__(point, "coords", coords)
 
 
-# bound once: _labeled runs once per sampled point and image (about 1.1M times
-# in one bimodule-identities benchmark pass); the lookups cost a third of it
-_new_point = object.__new__
-_set_vertex = LabeledPoint.vertex.__set__
-_set_coords = LabeledPoint.coords.__set__
+# assigned after the class statement: on Python 3.10 to 3.11.3,
+# dataclass(slots=True) replaces a __setstate__ defined in the class body
+LabeledPoint.__setstate__ = _setstate
 
 
 def _labeled(vertex, coords):
@@ -74,9 +72,9 @@ def _labeled(vertex, coords):
     anything else would break the guarantee that coords is a tuple of
     Python floats.
     """
-    point = _new_point(LabeledPoint)
-    _set_vertex(point, vertex)
-    _set_coords(point, coords)
+    point = object.__new__(LabeledPoint)
+    LabeledPoint.vertex.__set__(point, vertex)
+    LabeledPoint.coords.__set__(point, coords)
     return point
 
 
