@@ -209,14 +209,33 @@ def similarity_from_pairs(p1, q1, p2, q2, reflect=False):
 
 
 def hausdorff_distance(a, b):
-    """Exact Hausdorff distance between two finite point sets (N, d)."""
+    """Exact Hausdorff distance between two finite point sets (N, d).
+
+    One KD-tree on the smaller set S answers h(L -> S) for the larger set L.
+    A point s that is the nearest neighbour of some l in L has
+    d(s, L) <= |s - l| <= h(L -> S), in floats too, so only the points of S
+    that no l chose are queried against a second tree, built on L.
+    """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
     if pa.size == 0 or pb.size == 0:
         raise GeometryError("Hausdorff distance needs nonempty point sets")
-    d_ab = cKDTree(pb).query(pa, workers=-1)[0].max()
-    d_ba = cKDTree(pa).query(pb, workers=-1)[0].max()
-    return float(max(d_ab, d_ba))
+    if pa.ndim != 2 or pb.ndim != 2 or pa.shape[1] != pb.shape[1]:
+        raise GeometryError(
+            "Hausdorff distance needs two (N, d) point sets of one dimension d, "
+            f"got shapes {pa.shape} and {pb.shape}")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise GeometryError(
+            "Hausdorff distance needs finite coordinates, got a non-finite "
+            f"value among point sets of shapes {pa.shape} and {pb.shape}")
+    small, large = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
+    dist, nearest = cKDTree(small).query(large, workers=-1)
+    marked = np.zeros(len(small), dtype=bool)
+    marked[nearest] = True
+    out = dist.max()
+    if not marked.all():
+        out = max(out, cKDTree(large).query(small[~marked], workers=-1)[0].max())
+    return float(out)
 
 
 # --- convex polygons (d = 2) --------------------------------------------------

@@ -3,7 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import mwlab.attractor
+import mwlab.geometry
+from conftest import approx_for, bundled
 from mwlab.attractor import (
     MWGraphSpec,
     SeedBox,
@@ -14,12 +18,14 @@ from mwlab.attractor import (
     total_paths,
     write_point_cloud_csv,
 )
+from mwlab.datasets import list_bundled
 from mwlab.errors import BudgetExceededError, ResolutionError, \
     SpecValidationError
 from mwlab.geometry import hausdorff_distance, similarity_from_params
 from mwlab.graph import Graph, paths_from
 from specs_inline import affine1, binary_ifs, cantor_ifs, one_loop, \
     thin_cantor, two_part_dust
+from test_geometry import two_tree_hausdorff
 
 
 class TestSpecValidation:
@@ -191,6 +197,47 @@ class TestResiduals:
             approx = invariant_list(spec, 8)
             res = invariance_residual(spec, approx)
             assert max(res.values()) <= 2 * approx.error_bound
+
+
+# two_part_dust at depth 10 has cloud points that no point of the refinement
+# is nearest to, so hausdorff_distance needs its second tree there
+RESIDUAL_DEPTHS = {"binary_ifs": 10, "cantor_ifs": 10, "duplicate_map": 10,
+                   "two_part_dust": 10, "penrose": 8, "squares_z2": 6}
+
+
+class TestResidualPin:
+    def test_every_bundled_example_has_a_depth(self):
+        assert sorted(RESIDUAL_DEPTHS) == sorted(list_bundled())
+
+    @pytest.mark.parametrize("name", sorted(RESIDUAL_DEPTHS))
+    def test_equals_two_tree_formula(self, name, monkeypatch):
+        spec, approx = bundled(name), approx_for(name, RESIDUAL_DEPTHS[name])
+        builds, per_call = [], []
+
+        def counted_tree(data, *args, **kwargs):
+            builds.append(len(data))
+            return cKDTree(data, *args, **kwargs)
+
+        def counted_distance(a, b):
+            start = len(builds)
+            out = hausdorff_distance(a, b)
+            per_call.append(len(builds) - start)
+            return out
+
+        monkeypatch.setattr(mwlab.geometry, "cKDTree", counted_tree)
+        monkeypatch.setattr(mwlab.attractor, "hausdorff_distance", counted_distance)
+        res = invariance_residual(spec, approx)
+        monkeypatch.undo()
+        for v in spec.graph.vertices:
+            union = np.vstack([spec.edge_maps[e.id].apply(approx.cloud(e.range).points)
+                               for e in spec.graph.out_edges(v)])
+            assert res[v] == two_tree_hausdorff(approx.cloud(v).points, union)
+        assert len(per_call) == len(spec.graph.vertices)
+        assert all(n in (1, 2) for n in per_call)
+        if name == "squares_z2":
+            assert per_call == [1, 1]
+        if name == "two_part_dust":
+            assert 2 in per_call
 
 
 class TestRefinementProperties:

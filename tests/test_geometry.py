@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import mwlab.geometry
 from mwlab.errors import GeometryError
 from mwlab.geometry import (
     AffineContraction,
@@ -28,6 +30,15 @@ def random_contraction(rng, d=2):
             return AffineContraction(m, rng.uniform(-1, 1, size=d))
         except GeometryError:
             continue
+
+
+def two_tree_hausdorff(a, b):
+    """The two-tree formula: one KD-tree per side, each side queried in full."""
+    pa = np.atleast_2d(np.asarray(a, dtype=float))
+    pb = np.atleast_2d(np.asarray(b, dtype=float))
+    d_ab = cKDTree(pb).query(pa, workers=-1)[0].max()
+    d_ba = cKDTree(pa).query(pb, workers=-1)[0].max()
+    return float(max(d_ab, d_ba))
 
 
 def brute_hausdorff(a, b):
@@ -198,13 +209,110 @@ class TestHausdorff:
             c = rng.uniform(0, 1, (10, 2))
             dab = hausdorff_distance(a, b)
             dba = hausdorff_distance(b, a)
-            assert dab == pytest.approx(dba, abs=1e-12)
+            assert dab == dba
             assert hausdorff_distance(a, a) == 0.0
             assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(GeometryError):
             hausdorff_distance(np.empty((0, 2)), [[0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        b = np.zeros((3, 2))
+        b[1, 0] = bad
+        with pytest.raises(GeometryError, match=r"finite.*\(1, 2\) and \(3, 2\)"):
+            hausdorff_distance([[0.0, 0.0]], b)
+        with pytest.raises(GeometryError, match=r"finite.*\(3, 2\) and \(1, 2\)"):
+            hausdorff_distance(b, [[0.0, 0.0]])
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(GeometryError, match=r"\(4, 1\) and \(2, 2\)"):
+            hausdorff_distance(np.zeros((4, 1)), np.zeros((2, 2)))
+        with pytest.raises(GeometryError, match=r"\(2, 2, 1\) and \(2, 2\)"):
+            hausdorff_distance(np.zeros((2, 2, 1)), np.zeros((2, 2)))
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Count the KD-trees hausdorff_distance builds."""
+    builds = []
+
+    def counted(data, *args, **kwargs):
+        builds.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(mwlab.geometry, "cKDTree", counted)
+    return builds
+
+
+class TestHausdorffOracle:
+    """hausdorff_distance returns exactly the float of the two-tree formula."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_sets_equal_exactly(self, d):
+        rng = np.random.RandomState(37 + d)
+        for n, m in ((1, 1), (1, 40), (40, 1), (50, 50), (80, 300), (300, 80),
+                     (700, 2000)):
+            a = rng.uniform(-1, 1, (n, d))
+            b = rng.uniform(-1, 1, (m, d))
+            expect = two_tree_hausdorff(a, b)
+            assert hausdorff_distance(a, b) == expect
+            assert hausdorff_distance(b, a) == expect
+
+    def test_refinement_of_a_cloud_takes_one_tree(self, tree_builds):
+        # every point of the coarse set is the nearest neighbour of its
+        # children, so the second tree is never needed
+        rng = np.random.RandomState(41)
+        coarse = rng.uniform(0, 1, (500, 2))
+        fine = np.vstack([coarse + rng.uniform(-1e-3, 1e-3, coarse.shape)
+                          for _ in range(4)])
+        assert hausdorff_distance(coarse, fine) == two_tree_hausdorff(coarse, fine)
+        assert tree_builds == [500]
+
+    def test_outlier_in_the_smaller_set_takes_the_second_tree(self, tree_builds):
+        rng = np.random.RandomState(43)
+        large = rng.uniform(0, 1, (400, 2))
+        small = np.vstack([large[::4], [[10.0, -7.0]]])
+        got = hausdorff_distance(small, large)
+        assert got == two_tree_hausdorff(small, large)
+        assert got == pytest.approx(brute_hausdorff(small, large), abs=1e-12)
+        assert got > 10.0
+        assert tree_builds == [101, 400]
+
+    def test_duplicate_points(self, tree_builds):
+        rng = np.random.RandomState(47)
+        base = rng.uniform(0, 1, (60, 2))
+        a = np.vstack([base, base[:20], base[:5]])
+        b = np.vstack([base[::2], base[::2], rng.uniform(0, 1, (30, 2))])
+        for x, y in ((a, b), (b, a), (a, a), (a, base)):
+            assert hausdorff_distance(x, y) == two_tree_hausdorff(x, y)
+        assert hausdorff_distance(a, base) == 0.0
+
+    def test_signed_zeros(self):
+        pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+        neg = np.array([[-0.0, -0.0], [1.0, -0.0]])
+        assert hausdorff_distance(pos, neg) == 0.0
+        assert math.copysign(1.0, hausdorff_distance(pos, neg)) == 1.0
+        assert hausdorff_distance([[-0.0]], [[0.0], [3.0]]) == 3.0
+        assert hausdorff_distance(pos, neg) == two_tree_hausdorff(pos, neg)
+
+    def test_single_point_sets(self, tree_builds):
+        assert hausdorff_distance([[0.5]], [[2.0]]) == 1.5
+        assert hausdorff_distance([[1.0, 1.0]], [[1.0, 1.0]]) == 0.0
+        pts = np.random.RandomState(53).uniform(-1, 1, (25, 2))
+        assert hausdorff_distance([[0.0, 0.0]], pts) == \
+            two_tree_hausdorff([[0.0, 0.0]], pts)
+        assert tree_builds == [1, 1, 1]
+
+    def test_equal_sizes(self, tree_builds):
+        rng = np.random.RandomState(59)
+        for _ in range(5):
+            a = rng.uniform(-1, 1, (120, 2))
+            b = rng.uniform(-1, 1, (120, 2))
+            assert hausdorff_distance(a, b) == two_tree_hausdorff(a, b)
+            assert hausdorff_distance(b, a) == two_tree_hausdorff(a, b)
+        assert len(tree_builds) <= 20
 
 
 def square(x0, y0, x1, y1):
