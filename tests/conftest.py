@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import mwlab.geometry
 from mwlab.attractor import invariant_list
 from mwlab.datasets import load_bundled
 
@@ -33,3 +36,25 @@ def dust_spec():
 @pytest.fixture
 def penrose_spec():
     return bundled("penrose")
+
+
+def two_tree_hausdorff(a, b):
+    """The two-tree formula: one KD-tree per side, each side queried in full."""
+    pa = np.atleast_2d(np.asarray(a, dtype=float))
+    pb = np.atleast_2d(np.asarray(b, dtype=float))
+    d_ab = cKDTree(pb).query(pa, workers=-1)[0].max()
+    d_ba = cKDTree(pa).query(pb, workers=-1)[0].max()
+    return float(max(d_ab, d_ba))
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Count the KD-trees hausdorff_distance builds."""
+    builds = []
+
+    def counted(data, *args, **kwargs):
+        builds.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(mwlab.geometry, "cKDTree", counted)
+    return builds

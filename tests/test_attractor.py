@@ -3,11 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import mwlab.attractor
-import mwlab.geometry
-from conftest import approx_for, bundled
+from conftest import approx_for, bundled, two_tree_hausdorff
 from mwlab.attractor import (
     MWGraphSpec,
     SeedBox,
@@ -25,7 +23,6 @@ from mwlab.geometry import hausdorff_distance, similarity_from_params
 from mwlab.graph import Graph, paths_from
 from specs_inline import affine1, binary_ifs, cantor_ifs, one_loop, \
     thin_cantor, two_part_dust
-from test_geometry import two_tree_hausdorff
 
 
 class TestSpecValidation:
@@ -210,24 +207,18 @@ class TestResidualPin:
         assert sorted(RESIDUAL_DEPTHS) == sorted(list_bundled())
 
     @pytest.mark.parametrize("name", sorted(RESIDUAL_DEPTHS))
-    def test_equals_two_tree_formula(self, name, monkeypatch):
+    def test_equals_two_tree_formula(self, name, monkeypatch, tree_builds):
         spec, approx = bundled(name), approx_for(name, RESIDUAL_DEPTHS[name])
-        builds, per_call = [], []
-
-        def counted_tree(data, *args, **kwargs):
-            builds.append(len(data))
-            return cKDTree(data, *args, **kwargs)
+        per_call = []
 
         def counted_distance(a, b):
-            start = len(builds)
+            start = len(tree_builds)
             out = hausdorff_distance(a, b)
-            per_call.append(len(builds) - start)
+            per_call.append(len(tree_builds) - start)
             return out
 
-        monkeypatch.setattr(mwlab.geometry, "cKDTree", counted_tree)
         monkeypatch.setattr(mwlab.attractor, "hausdorff_distance", counted_distance)
         res = invariance_residual(spec, approx)
-        monkeypatch.undo()
         for v in spec.graph.vertices:
             union = np.vstack([spec.edge_maps[e.id].apply(approx.cloud(e.range).points)
                                for e in spec.graph.out_edges(v)])
