@@ -9,17 +9,24 @@ seed-box diagonal and c the system-wide upper contraction bound.
 Deduplication snaps points to a grid 1/1024 of that bound wide and keeps
 the lexicographically smallest point per cell, so results are independent of
 evaluation order; the grid diagonal is folded into the reported certificate.
-Depths whose grid cell is too fine for int64 grid keys over the seed boxes
+Depths whose grid cell is too fine for float64 to resolve over the seed boxes
 are refused with a ResolutionError before any point is computed.
 
-The dedup works on per-axis ranks rather than on coordinate rows. Ranking
-each coordinate among its axis's distinct values preserves order, and so does
-ranking its grid column, because floor(value / cell) never decreases as the
-value grows. One int64 key built from the value ranks therefore sorts points
-exactly as comparing coordinates axis by axis would, and one built from the
-column ranks names each point's cell. A stable sort by the first key followed
-by the first occurrence of each cell key keeps, per cell, the point that
-compares smallest (ties, such as 0.0 and -0.0, go to the earlier path).
+The sweep keeps one array per vertex and level, filled edge by edge with the
+images of the previous level. The last level is built one vertex at a time
+and deduplicated at once, so at its peak the sweep holds the previous level,
+one vertex's last level and that vertex's dedup temporaries.
+
+In one dimension the dedup is one stable sort: floor(value / cell) never
+decreases as the value grows, so each grid column is a run of the sorted
+values. In two it works on per-axis ranks rather than on coordinate rows.
+Ranking each coordinate among its axis's distinct values preserves order,
+and so does ranking its grid column. One int64 key built from the value
+ranks therefore sorts points exactly as comparing coordinates axis by axis
+would, and one built from the column ranks names each point's cell. A stable
+sort by the first key followed by the first occurrence of each cell key
+keeps, per cell, the point that compares smallest (ties, such as 0.0 and
+-0.0, go to the earlier path).
 """
 
 import math
@@ -210,8 +217,33 @@ class InvariantListApprox:
 
 def total_paths(spec, depth):
     """Exact number of depth-n paths over all start vertices (integer matrix power)."""
-    a = vertex_matrix(spec.graph) ** depth
-    return sum(sum(a.row(i)) for i in range(a.rows))
+    return _paths_up_to(spec, depth, math.inf)
+
+
+def _paths_up_to(spec, depth, cap):
+    """min(number of depth-n paths, cap) by repeated squaring of the vertex
+    matrix with every entry cut to at most cap.
+
+    Cutting at cap commutes with sums and products of non-negative integers,
+    so the result is exact below cap, and with a finite cap no entry needs
+    more than about twice cap's digits, however deep the paths go.
+    """
+    a = vertex_matrix(spec.graph)
+    size = range(a.rows)
+    base = [list(a.row(i)) for i in size]
+    power = [[int(i == j) for j in size] for i in size]
+
+    def product(x, y):
+        return [[min(cap, sum(x[i][k] * y[k][j] for k in size)) for j in size]
+                for i in size]
+
+    while depth:
+        if depth & 1:
+            power = product(power, base)
+        depth >>= 1
+        if depth:
+            base = product(base, base)
+    return min(cap, sum(map(sum, power)))
 
 
 def _point_budget():
@@ -234,43 +266,81 @@ def _dedup_sorted(points, cell):
     """Keep the lexicographically smallest point per grid cell, in lexicographic
     order; points that compare equal (±0.0 included) keep their input order.
 
-    Each axis is ranked once: np.unique gives every point the dense rank of its
-    coordinate among the column's distinct values, and since floor(value / cell)
-    is monotone in the value, a running count of its changes over those sorted
-    distinct values gives the dense rank of the grid column. Mixed-radix
-    combinations of the per-axis ranks are two int64 keys, one ordering points
-    exactly as a lexicographic sort of their coordinates and one naming their
-    cell; the first point of each cell in a stable sort by the value key is the
-    cell's lexicographically smallest.
+    In one dimension one stable sort does it: floor(value / cell) never
+    decreases as the value grows, so each grid column is a run of the sorted
+    values and its first value is the smallest.
+
+    In more dimensions each axis is sorted once. Along the sorted values, a
+    running count of value changes is each point's dense rank among the
+    axis's distinct values, and a running count of changes of
+    floor(value / cell) is the dense rank of its grid column. Mixed-radix
+    combinations of the per-axis ranks are two int64 keys, one ordering
+    points exactly as a lexicographic sort of their coordinates and one
+    naming their cell. A stable sort by the first key puts the points in
+    order; a stable sort of their cell keys then groups each cell with its
+    points still in that order, and the first of each group is the cell's
+    lexicographically smallest point.
     """
     n, d = points.shape
+    if d == 1:
+        order = np.argsort(points[:, 0], kind="stable")
+        cols = points[order, 0]
+        cols /= cell
+        np.floor(cols, out=cols)
+        return points[order[_run_starts(cols)]]
     value_key = np.zeros(n, dtype=np.int64)
     cell_key = np.zeros(n, dtype=np.int64)
     span = 1
     for axis in range(d):
-        values, rank = np.unique(points[:, axis], return_inverse=True)
+        by_value = np.argsort(points[:, axis])
+        values = points[by_value, axis]
+        changed = _run_starts(values)
+        changed[:1] = False
+        rank = np.cumsum(changed)
+        radix = int(rank[-1]) + 1 if n else 1
         # both keys stay below the product of the distinct-value counts
-        span *= len(values)
+        span *= radix
         if span > 2 ** 63:
             raise ResolutionError(
                 f"{n} points in {d} dimensions overflow int64 dedup keys")
-        cols = np.floor(values / cell)
-        col_rank = np.zeros(len(values), dtype=np.int64)
-        np.cumsum(cols[1:] != cols[:-1], out=col_rank[1:])
+        _push_digit(value_key, by_value, rank, radix)
+        values /= cell
+        np.floor(values, out=values)
+        np.not_equal(values[1:], values[:-1], out=changed[1:])
         # each del frees a cloud-sized array before the next one is made
-        del values, cols
-        value_key *= len(col_rank)
-        value_key += rank
-        cell_key *= int(col_rank[-1]) + 1 if n else 1
-        cell_key += col_rank[rank]
-        del rank, col_rank
+        del values
+        np.cumsum(changed, out=rank)
+        del changed
+        _push_digit(cell_key, by_value, rank, int(rank[-1]) + 1 if n else 1)
+        del rank, by_value
     order = np.argsort(value_key, kind="stable")
     del value_key
-    _, first = np.unique(cell_key[order], return_index=True)
-    del cell_key
+    cell_key = cell_key[order]
+    by_cell = np.argsort(cell_key, kind="stable")
+    cell_key = cell_key[by_cell]
     keep = np.zeros(n, dtype=bool)
-    keep[first] = True
+    keep[by_cell[_run_starts(cell_key)]] = True
+    del cell_key, by_cell
     return points[order[keep]]
+
+
+def _run_starts(keys):
+    """Mask of the entries of a sorted array that differ from the one before
+    (the first entry always counts)."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _push_digit(key, perm, digit, radix):
+    """key[perm] = key[perm] * radix + digit, for a digit listed in perm's
+    order; the digit array is overwritten."""
+    shifted = key[perm]
+    shifted *= radix
+    digit += shifted
+    del shifted
+    key[perm] = digit
 
 
 def _certificate(spec, depth):
@@ -286,20 +356,31 @@ def invariant_list(spec, depth):
     The reported error bound covers both the path truncation (diam * c^n) and
     the deduplication grid, so every cloud is within error_bound of its true
     component in Hausdorff distance.
+
+    The sweep keeps one array per vertex and level. The last level is built
+    and deduplicated one vertex at a time, so at its peak the sweep holds the
+    previous level, one vertex's last level and that vertex's dedup
+    temporaries (in one dimension, one stable sort's worth).
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     budget = _point_budget()
-    needed = total_paths(spec, depth)
+    # counted no further than one past both int64 and the budget: exact
+    # wherever int64 holds it, and a few small products at any depth
+    cap = max(budget + 1, 2 ** 63)
+    needed = _paths_up_to(spec, depth, cap)
     if needed > budget:
+        exact = needed < cap
         raise BudgetExceededError(
-            f"depth {depth} needs {needed} paths, exceeding the point budget "
-            f"{budget}; lower the depth or raise {POINT_BUDGET_ENV}",
-            required=needed, budget=budget)
+            f"depth {depth} needs {needed if exact else f'at least {cap}'} "
+            f"paths, exceeding the point budget {budget}; lower the depth or "
+            f"raise {POINT_BUDGET_ENV}",
+            required=needed if exact else None, budget=budget)
 
     base_err, cell, error_bound = _certificate(spec, depth)
-    # grid keys are int64: every |coordinate| / cell must stay below 2**62;
-    # compared without dividing, since cell underflows to 0.0 at large depths
+    # grid columns are float64 quotients value / cell, refused once they may
+    # reach 2**62 over the seed boxes; compared without dividing, since cell
+    # underflows to 0.0 at large depths
     extent = max(abs(x) for box in spec.seed_boxes.values()
                  for x in box.lo + box.hi)
     if not extent < 2.0 ** 62 * cell:
@@ -308,17 +389,28 @@ def invariant_list(spec, depth):
             f"grid keys can resolve over coordinates up to {extent!r}; lower "
             f"the depth")
 
-    pts = {v: spec.base_point(v)[None, :] for v in spec.graph.vertices}
-    for _ in range(depth):
-        gathered = {v: [] for v in spec.graph.vertices}
-        for e in spec.graph.edges:
-            gathered[e.source].append(spec.edge_maps[e.id].apply(pts[e.range]))
-        pts = {v: (np.vstack(chunks) if chunks else np.empty((0, spec.dimension)))
-               for v, chunks in gathered.items()}
-
-    clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(pts[v], cell))
-              for v in spec.graph.vertices}
+    vertices = spec.graph.vertices
+    maps = {v: [(spec.edge_maps[e.id], e.range) for e in spec.graph.out_edges(v)]
+            for v in vertices}
+    pts = {v: spec.base_point(v)[None, :] for v in vertices}
+    for _ in range(depth - 1):
+        pts = {v: _next_level(pts, maps[v], spec.dimension) for v in vertices}
+    clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(
+                  _next_level(pts, maps[v], spec.dimension), cell))
+              for v in vertices}
     return InvariantListApprox(clouds=clouds, depth=depth, error_bound=error_bound)
+
+
+def _next_level(pts, maps, dimension):
+    """One vertex's points one level deeper: the image of each range vertex's
+    points under each of its out-edge maps, in edge order, in one array."""
+    level = np.empty((sum(len(pts[r]) for _, r in maps), dimension))
+    start = 0
+    for m, r in maps:
+        stop = start + len(pts[r])
+        level[start:stop] = m.apply(pts[r])
+        start = stop
+    return level
 
 
 def _apply_along(spec, path, points):
@@ -383,8 +475,8 @@ def write_point_cloud_csv(spec, approx, path):
         header,
     ]
     for v in spec.graph.vertices:
-        for row in approx.cloud(v).points:
-            lines.append(v + "," + ",".join(repr(float(x)) for x in row))
+        lines.extend(v + "," + ",".join(map(repr, row))
+                     for row in approx.cloud(v).points.tolist())
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

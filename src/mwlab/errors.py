@@ -24,7 +24,10 @@ class PreconditionError(MWLabError):
 
 
 class BudgetExceededError(MWLabError):
-    """The requested computation would exceed the configured point budget."""
+    """The requested computation would exceed the configured point budget.
+
+    `required` is the exact path count when it fits in int64, else None.
+    """
 
     def __init__(self, message, required=None, budget=None):
         super().__init__(message)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestInvariantList:
             invariant_list(spec, 12)
         assert err.value.required == 2 ** 12
 
+    def test_budget_error_beyond_int64(self, monkeypatch):
+        monkeypatch.delenv("MWLAB_POINT_BUDGET", raising=False)
+        # 2**62 paths fit in int64 and are reported exactly; 2**63 do not,
+        # and the count is not carried to its full size
+        with pytest.raises(BudgetExceededError) as err:
+            invariant_list(binary_ifs(), 62)
+        assert err.value.required == 2 ** 62
+        with pytest.raises(BudgetExceededError, match="at least") as err:
+            invariant_list(binary_ifs(), 10 ** 9)
+        assert err.value.required is None
+        assert err.value.budget == mwlab.attractor.DEFAULT_POINT_BUDGET
+
     def test_budget_env_override(self, monkeypatch):
         spec = binary_ifs()
         monkeypatch.setenv("MWLAB_POINT_BUDGET", "100")
@@ -122,6 +135,28 @@ class TestInvariantList:
             count = sum(len(paths_from(spec.graph, v, n))
                         for v in spec.graph.vertices)
             assert total_paths(spec, n) == count
+
+
+class TestSweepMemory:
+    """Peak traced allocation of one invariant_list call, per depth-n path.
+
+    The sweep holds the previous level, one vertex's last level and its dedup
+    temporaries: about 29 bytes per path in 1-D (8 for the point, 4 for half a
+    previous level, 17 for one stable sort) and 46 in 2-D. Holding a second
+    copy of the whole last level and np.unique's temporaries took 73 and 72.
+    """
+
+    @pytest.mark.parametrize("name,depth,bound", [("duplicate_map", 18, 50),
+                                                  ("penrose", 12, 60)])
+    def test_peak_bytes_per_path(self, name, depth, bound):
+        spec = bundled(name)
+        tracemalloc.start()
+        try:
+            invariant_list(spec, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / total_paths(spec, depth) < bound
 
 
 class TestCodingMap:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,17 @@ class TestAttractor:
         code, _, err = run_cli("attractor", "binary_ifs", "--depth", "12")
         assert code == 3
         assert "resource error" in err
+
+    @pytest.mark.parametrize("depth", [8000, 4_000_000])
+    def test_budget_exit_code_at_extreme_depth(self, monkeypatch, depth):
+        # the exact path count has thousands of digits at depth 8000
+        monkeypatch.delenv("MWLAB_POINT_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, out, err = run_cli("attractor", "squares_z2", "--depth", str(depth))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.startswith("resource error:") and "point budget" in err
+        assert out == ""
 
     @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
     def test_invalid_budget_exit_code(self, monkeypatch, value):

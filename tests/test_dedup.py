@@ -1,7 +1,9 @@
-"""The rank-based grid dedup against the row-wise np.unique it replaced.
+"""The grid dedup and the path sweep against the code they replaced.
 
-`reference_dedup` is the earlier `_dedup_sorted`, kept verbatim as the oracle:
-the new one must return the same rows, byte for byte, in the same order.
+`reference_dedup` is the earlier `_dedup_sorted` (a row-wise np.unique) and
+`reference_sweep` the earlier level sweep (each level stacked from per-edge
+chunks), both kept verbatim as oracles: `invariant_list` must return the same
+rows, byte for byte, in the same order.
 """
 
 import numpy as np
@@ -10,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled
-from mwlab.attractor import _DEDUP_DIVISOR, _dedup_sorted, invariant_list
+from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
+    _dedup_sorted, invariant_list, total_paths
 from mwlab.errors import ResolutionError
+from mwlab.geometry import AffineContraction
+from mwlab.graph import Graph
 
 
 def reference_dedup(points, cell):
@@ -21,6 +26,27 @@ def reference_dedup(points, cell):
     keys = np.floor(pts / cell).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     return pts[np.sort(first)]
+
+
+def reference_sweep(spec, depth):
+    """Every depth-n path's point, per start vertex, in edge order."""
+    pts = {v: spec.base_point(v)[None, :] for v in spec.graph.vertices}
+    for _ in range(depth):
+        gathered = {v: [] for v in spec.graph.vertices}
+        for e in spec.graph.edges:
+            gathered[e.source].append(spec.edge_maps[e.id].apply(pts[e.range]))
+        pts = {v: (np.vstack(chunks) if chunks else np.empty((0, spec.dimension)))
+               for v, chunks in gathered.items()}
+    return pts
+
+
+def assert_same_clouds(spec, depth):
+    approx = invariant_list(spec, depth)
+    cell = spec.max_diameter * spec.contraction_upper ** depth / _DEDUP_DIVISOR
+    for v, points in reference_sweep(spec, depth).items():
+        want = reference_dedup(points, cell)
+        got = approx.cloud(v).points
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def assert_same_bytes(points, cell):
@@ -98,6 +124,16 @@ def test_signed_zeros_keep_input_order():
         assert_same_bytes(points, 0.25)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_signed_zeros_keep_input_order_in_large_clouds(d):
+    # numpy sorts short arrays by insertion, which is stable anyway; at this
+    # size an unstable sort reorders equal keys
+    rng = np.random.default_rng(7)
+    points = rng.choice([0.0, -0.0, 0.5], size=(3000, d))
+    for cell in (0.25, 1e-9):
+        assert_same_bytes(points, cell)
+
+
 def test_empty_cloud():
     for d in (1, 2):
         assert _dedup_sorted(np.empty((0, d)), 0.1).shape == (0, d)
@@ -118,16 +154,63 @@ def test_keys_refuse_to_wrap():
                                         ("cantor_ifs", 12),
                                         ("binary_ifs", 12)])
 def test_bundled_clouds_match_reference(name, depth):
-    spec = bundled(name)
-    approx = invariant_list(spec, depth)
-    cell = spec.max_diameter * spec.contraction_upper ** depth / _DEDUP_DIVISOR
-    pts = {v: spec.base_point(v)[None, :] for v in spec.graph.vertices}
-    for _ in range(depth):
-        gathered = {v: [] for v in spec.graph.vertices}
-        for e in spec.graph.edges:
-            gathered[e.source].append(spec.edge_maps[e.id].apply(pts[e.range]))
-        pts = {v: np.vstack(chunks) for v, chunks in gathered.items()}
-    for v in spec.graph.vertices:
-        want = reference_dedup(pts[v], cell)
-        got = approx.cloud(v).points
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert_same_clouds(bundled(name), depth)
+
+
+# Coefficients on a coarse lattice, so that different paths often land on the
+# same point, and maps fixing 0 (zero shift), so that many land on the
+# origin, the center of every seed box. -0.0 entries and shifts are drawn
+# too, though apply's matmul sums from +0.0 and so never returns -0.0; the
+# clouds() tests above cover signed zeros in the dedup itself.
+SCALES = (0.25, -0.25, 0.3, 0.375, -0.375, 0.5, -0.5)
+SHIFTS = (0.0, -0.0, 0.25, -0.25)
+
+
+@st.composite
+def contractions(draw, d):
+    if d == 1:
+        return AffineContraction([[draw(st.sampled_from(SCALES))]],
+                                 [draw(st.sampled_from(SHIFTS + (0.5, -0.5)))])
+    # at most 0.375 per entry: rows sum to at most 0.75, so with a shift of
+    # at most 0.25 the image of [-1, 1]^2 stays inside it
+    entry = st.sampled_from((0.0, -0.0, 0.25, -0.25, 0.3, 0.375, -0.375))
+    matrix = draw(st.lists(st.lists(entry, min_size=2, max_size=2),
+                           min_size=2, max_size=2).filter(
+        lambda m: m[0][0] * m[1][1] != m[0][1] * m[1][0]))
+    return AffineContraction(matrix, draw(st.lists(st.sampled_from(SHIFTS),
+                                                   min_size=2, max_size=2)))
+
+
+@st.composite
+def systems(draw):
+    """A valid system in d = 1 or 2 with 1-3 vertices and a depth that keeps
+    it under 3000 paths."""
+    d = draw(st.sampled_from((1, 2)))
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    # a cycle through every vertex: no sinks and no sources
+    pairs = [(v, vertices[(i + 1) % len(vertices)])
+             for i, v in enumerate(vertices)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                     st.sampled_from(vertices)), max_size=3))
+    maps = [draw(contractions(d)) for _ in pairs]
+    # parallel edges with the very same map
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=2)):
+        pairs.append(pairs[i])
+        maps.append(maps[i])
+    # edges listed in any order, not grouped by source
+    order = draw(st.permutations(range(len(pairs))))
+    box = SeedBox((-1.0,) * d, (1.0,) * d)
+    spec = MWGraphSpec(
+        graph=Graph(vertices, [(f"e{k}", *pairs[k]) for k in order]),
+        dimension=d, seed_boxes={v: box for v in vertices},
+        edge_maps={f"e{k}": m for k, m in enumerate(maps)})
+    depth = draw(st.integers(1, 10))
+    while total_paths(spec, depth) > 3000:
+        depth -= 1
+    return spec, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_random_systems_match_reference(case):
+    assert_same_clouds(*case)
