@@ -15,25 +15,20 @@ are refused with a ResolutionError before any point is computed.
 The sweep keeps one array per vertex and level, filled edge by edge with the
 images of the previous level. The last level is built one vertex at a time
 and deduplicated at once, so at its peak the sweep holds the previous level,
-one vertex's last level and that vertex's dedup temporaries.
+one vertex's last level and that vertex's dedup temporaries. The budget
+check's exact path count travels on the result as paths_total, and the
+invariance residual builds its unions with the sweep's level builder.
 
-In one dimension the dedup is one stable sort: floor(value / cell) never
-decreases as the value grows, so each grid column is a run of the sorted
-values. In two it works on per-axis ranks rather than on coordinate rows.
-Ranking each coordinate among its axis's distinct values preserves order,
-and so does ranking its grid column. One int64 key built from the value
-ranks therefore sorts points exactly as comparing coordinates axis by axis
-would, and one built from the column ranks names each point's cell. A stable
-sort by the first key followed by the first occurrence of each cell key
-keeps, per cell, the point that compares smallest (ties, such as 0.0 and
--0.0, go to the earlier path).
+The dedup needs one stable sort in one dimension and works on per-axis ranks
+in two; _dedup_sorted sets out how.
 """
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+# unused here: perfbench's traced run counts KD-tree builds by patching it
 from scipy.spatial import cKDTree
 
 from .errors import BudgetExceededError, ResolutionError, SpecValidationError
@@ -186,27 +181,20 @@ class VertexCloud:
 
     vertex: str
     points: np.ndarray
-    _tree: object = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
 
-    def tree(self):
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
-
-    def distance_to(self, point):
-        return float(self.tree().query(np.asarray(point, dtype=float))[0])
-
 
 @dataclass(eq=False)
 class InvariantListApprox:
-    """Per-vertex clouds at a common depth with one shared error certificate."""
+    """Per-vertex clouds at a common depth with one shared error certificate;
+    paths_total is the exact number of depth-n paths the clouds came from."""
 
     clouds: dict
     depth: int
     error_bound: float
+    paths_total: int
 
     def cloud(self, vertex):
         return self.clouds[vertex]
@@ -355,12 +343,8 @@ def invariant_list(spec, depth):
 
     The reported error bound covers both the path truncation (diam * c^n) and
     the deduplication grid, so every cloud is within error_bound of its true
-    component in Hausdorff distance.
-
-    The sweep keeps one array per vertex and level. The last level is built
-    and deduplicated one vertex at a time, so at its peak the sweep holds the
-    previous level, one vertex's last level and that vertex's dedup
-    temporaries (in one dimension, one stable sort's worth).
+    component in Hausdorff distance. The budget check counts the paths
+    exactly (needed <= budget < cap), and the result carries that count.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -390,15 +374,20 @@ def invariant_list(spec, depth):
             f"the depth")
 
     vertices = spec.graph.vertices
-    maps = {v: [(spec.edge_maps[e.id], e.range) for e in spec.graph.out_edges(v)]
-            for v in vertices}
+    maps = {v: _out_maps(spec, v) for v in vertices}
     pts = {v: spec.base_point(v)[None, :] for v in vertices}
     for _ in range(depth - 1):
         pts = {v: _next_level(pts, maps[v], spec.dimension) for v in vertices}
     clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(
                   _next_level(pts, maps[v], spec.dimension), cell))
               for v in vertices}
-    return InvariantListApprox(clouds=clouds, depth=depth, error_bound=error_bound)
+    return InvariantListApprox(clouds=clouds, depth=depth,
+                               error_bound=error_bound, paths_total=needed)
+
+
+def _out_maps(spec, vertex):
+    """(map, range vertex) of each out-edge of a vertex, in edge order."""
+    return [(spec.edge_maps[e.id], e.range) for e in spec.graph.out_edges(vertex)]
 
 
 def _next_level(pts, maps, dimension):
@@ -428,7 +417,7 @@ def coding_map_prefix(spec, path, base=None):
     returned one. The base defaults to the seed-box center of range(path) and
     must lie inside that seed box.
     """
-    path = spec.graph.make_path(path.edges if hasattr(path, "edges") else path)
+    path = spec.graph.make_path(path)
     if base is None:
         base = spec.base_point(path.range)
     base = np.asarray(base, dtype=float)
@@ -442,20 +431,17 @@ def coding_map_prefix(spec, path, base=None):
 
 def cylinder_set(spec, path, approx):
     """Image of the cloud at range(path) under the path composition."""
-    path = spec.graph.make_path(path.edges if hasattr(path, "edges") else path)
+    path = spec.graph.make_path(path)
     return _apply_along(spec, path, approx.cloud(path.range).points)
 
 
 def invariance_residual(spec, approx):
     """Per-vertex Hausdorff distance between each cloud and the union of its
     one-step refinements; small residuals certify the invariance equation."""
-    out = {}
-    for v in spec.graph.vertices:
-        images = [spec.edge_maps[e.id].apply(approx.cloud(e.range).points)
-                  for e in spec.graph.out_edges(v)]
-        union = np.vstack(images)
-        out[v] = hausdorff_distance(approx.cloud(v).points, union)
-    return out
+    pts = {v: approx.cloud(v).points for v in spec.graph.vertices}
+    return {v: hausdorff_distance(
+                pts[v], _next_level(pts, _out_maps(spec, v), spec.dimension))
+            for v in spec.graph.vertices}
 
 
 def write_point_cloud_csv(spec, approx, path):
@@ -464,13 +450,12 @@ def write_point_cloud_csv(spec, approx, path):
     A leading comment line records the exact pre-deduplication path count so
     the row count remains auditable.
     """
-    paths_total = total_paths(spec, approx.depth)
     points_total = approx.total_points()
     header = "vertex," + ",".join(["x", "y"][:spec.dimension])
     lines = [
         f"# name={spec.name or 'unnamed'} depth={approx.depth} "
-        f"paths={paths_total} points={points_total} "
-        f"deduplicated={paths_total - points_total} "
+        f"paths={approx.paths_total} points={points_total} "
+        f"deduplicated={approx.paths_total - points_total} "
         f"error_bound={approx.error_bound!r}",
         header,
     ]
@@ -480,4 +465,4 @@ def write_point_cloud_csv(spec, approx, path):
     text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    return paths_total, points_total
+    return approx.paths_total, points_total

@@ -2,10 +2,10 @@
 per edge, and the evaluators are still called one point at a time.
 
 The whole-cloud functions (norm_two, norm_inf, is_invariant) map each vertex
-cloud as one array per incoming edge or path step; the per-point functions
-(inner_product, expectation, tensor_eval) map single coordinate tuples with
-plain float arithmetic. Either way the evaluators receive LabeledPoints, one
-point at a time.
+cloud as one array per incoming edge or path (along a path as cylinder_set
+does); the per-point functions (inner_product, expectation, tensor_eval) map
+single coordinate tuples with plain float arithmetic. Either way the
+evaluators receive LabeledPoints, one point at a time.
 
 The bulk builders (_map_point, _cloud_with_images, sample_points and
 is_invariant's per-point generator) make their LabeledPoints with
@@ -23,7 +23,7 @@ cographs, so the representation strictly covers functions on the disjoint
 union; genuinely cograph-borne functions must be edge-independent there.
 
 Membership "y lies in the component K_{r(e)}" is decided purely by the vertex
-label of y, never by coordinate comparisons.
+label of y, never by coordinate comparisons or a distance to the cloud.
 """
 
 import math
@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .attractor import _apply_along
 from .geometry import LabeledPoint, _labeled
 from .graph import paths_from
 
@@ -108,15 +109,9 @@ def xi_zero(spec):
     return CographFunction(evaluate, description="canonical unit vector")
 
 
-def inner_product(spec, xi, eta, y, approx=None):
+def inner_product(spec, xi, eta, y):
     """Module inner product at y: sum over incoming edges of
     conj(xi(phi_e(y), y)) * eta(phi_e(y), y)."""
-    if approx is not None:
-        cloud = approx.cloud(y.vertex)
-        if cloud.distance_to(y.array()) > approx.error_bound + 1e-12:
-            raise ValueError(
-                f"sample point {y.coords} is not within resolution of the "
-                f"cloud at {y.vertex!r}")
     total = 0j
     for e in _incoming(spec, y.vertex):
         x = _map_point(spec, e, y)
@@ -170,7 +165,7 @@ def tensor_eval(spec, xis, path, y):
     is the product of xi_k(z_k, z_{k+1}) over the steps, evaluated left to
     right.
     """
-    path = spec.graph.make_path(path.edges if hasattr(path, "edges") else path)
+    path = spec.graph.make_path(path)
     if len(xis) != path.length:
         raise ValueError(
             f"need one factor per edge: {len(xis)} factors, {path.length} edges")
@@ -211,11 +206,9 @@ def is_invariant(spec, a, n, approx, tol):
         for u, paths in groups.get(v, {}).items():
             values = np.empty((len(paths), len(cloud)), dtype=complex)
             for row, p in zip(values, paths):
-                image = cloud
-                for eid in reversed(p.edges):
-                    image = spec.edge_maps[eid].apply(image)
                 row[:] = np.fromiter(
-                    (a(_labeled(u, c)) for c in _rows(image)),
+                    (a(_labeled(u, c))
+                     for c in _rows(_apply_along(spec, p, cloud))),
                     dtype=complex, count=len(cloud))
             first = np.lexsort((values.imag, values.real), axis=0)[0]
             values -= values[first, columns]

@@ -36,5 +36,6 @@ class BudgetExceededError(MWLabError):
 
 
 class ResolutionError(MWLabError):
-    """The requested sampling resolution cannot be represented or reached,
-    e.g. a certificate finer than float64 grid keys can resolve."""
+    """The requested resolution cannot be represented or reached, e.g. a
+    certificate finer than float64 grid keys can resolve, or an image with
+    more pixels than the renderer allows."""

@@ -79,8 +79,9 @@ class Graph:
         return self._vindex[vertex]
 
     def make_path(self, edge_ids):
-        """Validate composability and build a Path."""
-        ids = tuple(edge_ids)
+        """Validate composability and build a Path from edge ids, or from the
+        edges of a given Path."""
+        ids = tuple(edge_ids.edges if isinstance(edge_ids, Path) else edge_ids)
         if not ids:
             raise ValueError("a path needs at least one edge")
         edges = [self.edge(i) for i in ids]

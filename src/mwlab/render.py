@@ -11,6 +11,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ResolutionError
+
 __all__ = ["PALETTE", "render_bounds", "rasterize", "write_png", "render_attractor"]
 
 # first color per declared vertex, cycling if a system has more components
@@ -24,6 +26,9 @@ PALETTE = (
 )
 
 _MARGIN = 0.05
+
+# the largest image rasterized, 96 MiB as RGB bytes
+_MAX_PIXELS = 1 << 25
 
 
 def render_bounds(spec):
@@ -43,13 +48,21 @@ def render_bounds(spec):
 
 
 def rasterize(spec, approx, px=512):
-    """Render the clouds to an RGB uint8 array of width px."""
+    """Render the clouds to an RGB uint8 array of width px; the height follows
+    the aspect of the bounds, and an image above _MAX_PIXELS is refused."""
     if px < 16:
         raise ValueError("image width must be at least 16 pixels")
     lo, hi = render_bounds(spec)
     span = hi - lo
-    height = max(16, int(round(px * span[1] / span[0])))
-    image = np.full((height, px, 3), 255, dtype=np.uint8)
+    # a width past the cap is refused at any height; the height is a Python
+    # float, so one too large for an int or a float (inf) is refused too
+    width = min(px, _MAX_PIXELS + 1)
+    height = max(16.0, float(np.rint(width * float(span[1]) / float(span[0]))))
+    if width * height > _MAX_PIXELS:
+        raise ResolutionError(
+            f"an image of at least {px} x {height:.6g} pixels exceeds the cap "
+            f"of {_MAX_PIXELS} pixels; lower the width")
+    image = np.full((int(height), px, 3), 255, dtype=np.uint8)
     for k, v in enumerate(spec.graph.vertices):
         color = PALETTE[k % len(PALETTE)]
         pts = approx.cloud(v).points

@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .attractor import invariance_residual, invariant_list, total_paths
+from .attractor import invariance_residual, invariant_list
 from .conditions import branch_points, graph_separation, open_set_condition, \
     simplicity_report
 from .graph import vertex_matrix
@@ -115,7 +115,7 @@ def build_analysis_report(spec, depth, tol, approx=None, with_residuals=False):
         "depth": approx.depth,
         "tol": tol,
         "error_bound": approx.error_bound,
-        "paths_total": total_paths(spec, approx.depth),
+        "paths_total": approx.paths_total,
         "points_per_vertex": {v: len(approx.cloud(v))
                               for v in spec.graph.vertices},
         "hypothesis": {

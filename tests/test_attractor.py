@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import mwlab.attractor
 from conftest import approx_for, bundled, two_tree_hausdorff
@@ -135,6 +136,30 @@ class TestInvariantList:
             count = sum(len(paths_from(spec.graph, v, n))
                         for v in spec.graph.vertices)
             assert total_paths(spec, n) == count
+
+
+class TestPathsTotal:
+    """The approximation carries the sweep's own path count."""
+
+    @pytest.mark.parametrize("name", list_bundled())
+    def test_bundled_examples(self, name):
+        for depth in (1, 6):
+            approx = approx_for(name, depth)
+            assert approx.paths_total == total_paths(bundled(name), depth)
+
+    def test_int64_boundary(self, monkeypatch):
+        # two overlapping maps: 2**62 paths at depth 62 with a grid that
+        # float64 still resolves; the sweep itself is stubbed to one point
+        g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+        spec = MWGraphSpec(graph=g, dimension=1,
+                           seed_boxes={"v": SeedBox((0.0,), (1.0,))},
+                           edge_maps={"e1": affine1(0.9, 0.0),
+                                      "e2": affine1(0.9, 0.1)})
+        monkeypatch.setenv("MWLAB_POINT_BUDGET", str(2 ** 62))
+        monkeypatch.setattr(mwlab.attractor, "_next_level",
+                            lambda pts, maps, dimension: np.zeros((1, dimension)))
+        approx = invariant_list(spec, 62)
+        assert approx.paths_total == total_paths(spec, 62) == 2 ** 62
 
 
 class TestSweepMemory:
@@ -308,8 +333,8 @@ class TestRefinementProperties:
             pieces = [cylinder_set(spec, p, approx)
                       for p in paths_from(spec.graph, v, 1)]
             union = np.vstack(pieces)
-            cloud = approx.cloud(v)
-            directed = max(cloud.distance_to(q) for q in union)
+            tree = cKDTree(approx.cloud(v).points)
+            directed = max(tree.query(q)[0] for q in union)
             assert directed <= spec.max_diameter * spec.contraction_upper ** n
 
 

@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import mwlab.attractor
+import mwlab.geometry
 from conftest import approx_for, bundled
 from mwlab.attractor import MWGraphSpec, SeedBox, invariant_list
 from mwlab.conditions import BranchPoint, BranchReport, _suggest_depth, \
@@ -73,7 +75,7 @@ def _scan_pair(spec, approx, e, f, tol):
     membership_slack = approx.error_bound + tol
     if rank == d:
         y_star = np.linalg.solve(diff_matrix, diff_shift)
-        if cloud.distance_to(y_star) <= membership_slack:
+        if cKDTree(cloud.points).query(y_star)[0] <= membership_slack:
             detections.insert(0, (me.apply(y_star), y_star, True))
             certified_zero = True
     else:
@@ -293,6 +295,7 @@ def test_branch_scan_builds_no_kdtree(monkeypatch):
 
     for name in ("squares_z2", "penrose", "duplicate_map"):
         approx = invariant_list(bundled(name), 6)
-        monkeypatch.setattr(mwlab.attractor, "cKDTree", refuse)
+        for module in (mwlab.attractor, mwlab.geometry):
+            monkeypatch.setattr(module, "cKDTree", refuse)
         assert branch_points(bundled(name), approx, 1e-3).count >= 0
         monkeypatch.undo()

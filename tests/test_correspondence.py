@@ -99,12 +99,6 @@ class TestInnerProduct:
                  + xi(x2, y, "e2").conjugate() * eta(x2, y, "e2"))
         assert inner_product(spec, xi, eta, y) == pytest.approx(brute, abs=1e-12)
 
-    def test_membership_validated_against_cloud(self, binary):
-        spec, approx = binary
-        xi0 = xi_zero(spec)
-        with pytest.raises(ValueError):
-            inner_product(spec, xi0, xi0, LabeledPoint("v", (9.0,)), approx=approx)
-
     def test_positivity(self, dust):
         spec, approx = dust
         rng = np.random.RandomState(11)

@@ -214,3 +214,10 @@ def systems(draw):
 @given(systems())
 def test_random_systems_match_reference(case):
     assert_same_clouds(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_random_systems_count_their_paths(case):
+    spec, depth = case
+    assert invariant_list(spec, depth).paths_total == total_paths(spec, depth)

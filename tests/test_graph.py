@@ -2,6 +2,7 @@ import pytest
 
 from mwlab.graph import (
     Graph,
+    Path,
     has_sinks_or_sources,
     is_irreducible,
     paths_from,
@@ -52,6 +53,18 @@ class TestConstruction:
             g.make_path(["e1", "e1"])
         with pytest.raises(ValueError):
             g.make_path([])
+
+    def test_make_path_accepts_a_path(self):
+        g = Graph(["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")])
+        p = g.make_path(["e1", "e2"])
+        assert g.make_path(p) == p
+        # a Path is checked by its edges, with the same messages as edge ids
+        for ids in (["e1", "e1"], [], ["e9"]):
+            with pytest.raises((ValueError, KeyError)) as by_ids:
+                g.make_path(ids)
+            with pytest.raises(type(by_ids.value)) as by_path:
+                g.make_path(Path(tuple(ids), source="a", range="a"))
+            assert str(by_path.value) == str(by_ids.value)
 
 
 class TestSinksSources:

@@ -1,10 +1,15 @@
+import io
+import json
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+import mwlab.render
 from conftest import approx_for, bundled
+from mwlab.cli import main
+from mwlab.errors import ResolutionError
 from mwlab.render import PALETTE, rasterize, render_bounds, write_png
 
 
@@ -78,3 +83,64 @@ class TestRender:
         spec = bundled("binary_ifs")
         with pytest.raises(ValueError):
             rasterize(spec, approx_for("binary_ifs", 5), px=4)
+
+
+def tall(width, height):
+    """A valid system on a [0, width] x [0, height] seed box."""
+    return {
+        "name": "tall", "dimension": 2,
+        "vertices": [{"id": "v", "seed_box": [[0.0, 0.0], [width, height]]}],
+        "edges": [
+            {"id": f"e{k}", "source": "v", "range": "v",
+             "map": {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                     "translation": [shift * width, 0.0]}}
+            for k, shift in enumerate((0.0, 0.5))],
+    }
+
+
+class TestImageSizeCap:
+    """An image above the pixel cap is refused before it is allocated."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"image allocated with shape {args[0]}")
+
+        monkeypatch.setattr(mwlab.render.np, "full", refuse)
+
+    @pytest.mark.parametrize("box,px", [
+        # 512 wide needs 512,000,000 rows: 732 GiB as RGB bytes
+        ((1.0, 1e6), 512),
+        ((1.0, 1e6), 10 ** 8),
+        ((1.0, 1e6), 10 ** 400),
+        # an aspect of 1e600 overflows a float
+        ((1e-300, 1e300), 512),
+    ])
+    def test_cli_exits_with_resource_error(self, tmp_path, no_allocation, box,
+                                           px):
+        doc, png = tmp_path / "tall.json", tmp_path / "tall.png"
+        doc.write_text(json.dumps(tall(*box)))
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["attractor", str(doc), "--depth", "4", "--png", str(png),
+                     "--px", str(px)], out=out, err=err)
+        assert code == 3
+        assert "resource error" in err.getvalue()
+        assert str(mwlab.render._MAX_PIXELS) in err.getvalue()
+        assert not png.exists()
+
+    def test_huge_width_of_a_flat_image(self, tmp_path, no_allocation):
+        png = tmp_path / "wide.png"
+        err = io.StringIO()
+        code = main(["attractor", "binary_ifs", "--depth", "4", "--png",
+                     str(png), "--px", str(10 ** 8)], out=io.StringIO(), err=err)
+        assert code == 3 and "resource error" in err.getvalue()
+        assert not png.exists()
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        spec, approx = bundled("binary_ifs"), approx_for("binary_ifs", 5)
+        height, width, _ = rasterize(spec, approx, px=512).shape
+        monkeypatch.setattr(mwlab.render, "_MAX_PIXELS", height * width)
+        assert rasterize(spec, approx, px=512).shape == (height, width, 3)
+        monkeypatch.setattr(mwlab.render, "_MAX_PIXELS", height * width - 1)
+        with pytest.raises(ResolutionError, match=f"512 x {height} pixels"):
+            rasterize(spec, approx, px=512)
