@@ -19,8 +19,9 @@ one vertex's last level and that vertex's dedup temporaries. The budget
 check's exact path count travels on the result as paths_total, and the
 invariance residual builds its unions with the sweep's level builder.
 
-The dedup needs one stable sort in one dimension and works on per-axis ranks
-in two; _dedup_sorted sets out how.
+The dedup needs one stable sort in one dimension and two in two, of the rows
+and then of their cells, each row read as one complex number;
+_dedup_sorted sets out how.
 """
 
 import math
@@ -74,6 +75,10 @@ class SeedBox:
             raise SpecValidationError("seed box corners must have equal dimension")
         if any(a >= b for a, b in zip(lo, hi)):
             raise SpecValidationError(f"seed box {lo}..{hi} has empty interior")
+        # an infinite diagonal would stretch the nesting check's slack to inf
+        if not math.isfinite(math.dist(lo, hi)):
+            raise SpecValidationError(
+                f"seed box {lo}..{hi} has no finite diameter in float64")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -254,20 +259,18 @@ def _dedup_sorted(points, cell):
     """Keep the lexicographically smallest point per grid cell, in lexicographic
     order; points that compare equal (±0.0 included) keep their input order.
 
-    In one dimension one stable sort does it: floor(value / cell) never
-    decreases as the value grows, so each grid column is a run of the sorted
-    values and its first value is the smallest.
+    The points have 1 or 2 columns, the only dimensions a spec allows. In one
+    dimension one stable sort does it: floor(value / cell) never decreases as
+    the value grows, so each grid column is a run of the sorted values and
+    its first value is the smallest.
 
-    In more dimensions each axis is sorted once. Along the sorted values, a
-    running count of value changes is each point's dense rank among the
-    axis's distinct values, and a running count of changes of
-    floor(value / cell) is the dense rank of its grid column. Mixed-radix
-    combinations of the per-axis ranks are two int64 keys, one ordering
-    points exactly as a lexicographic sort of their coordinates and one
-    naming their cell. A stable sort by the first key puts the points in
-    order; a stable sort of their cell keys then groups each cell with its
-    points still in that order, and the first of each group is the cell's
-    lexicographically smallest point.
+    In two, each float64 row viewed as one complex number is its own sort key,
+    since numpy orders complex numbers by real part, then imaginary part, and
+    compares ±0.0 as equal. A stable sort of the rows puts the points in
+    lexicographic order; their cells floor(row / cell), viewed the same way,
+    are then stably sorted, which groups each cell with its points still in
+    that order, and the first of each group is the cell's lexicographically
+    smallest point.
     """
     n, d = points.shape
     if d == 1:
@@ -276,40 +279,20 @@ def _dedup_sorted(points, cell):
         cols /= cell
         np.floor(cols, out=cols)
         return points[order[_run_starts(cols)]]
-    value_key = np.zeros(n, dtype=np.int64)
-    cell_key = np.zeros(n, dtype=np.int64)
-    span = 1
-    for axis in range(d):
-        by_value = np.argsort(points[:, axis])
-        values = points[by_value, axis]
-        changed = _run_starts(values)
-        changed[:1] = False
-        rank = np.cumsum(changed)
-        radix = int(rank[-1]) + 1 if n else 1
-        # both keys stay below the product of the distinct-value counts
-        span *= radix
-        if span > 2 ** 63:
-            raise ResolutionError(
-                f"{n} points in {d} dimensions overflow int64 dedup keys")
-        _push_digit(value_key, by_value, rank, radix)
-        values /= cell
-        np.floor(values, out=values)
-        np.not_equal(values[1:], values[:-1], out=changed[1:])
-        # each del frees a cloud-sized array before the next one is made
-        del values
-        np.cumsum(changed, out=rank)
-        del changed
-        _push_digit(cell_key, by_value, rank, int(rank[-1]) + 1 if n else 1)
-        del rank, by_value
-    order = np.argsort(value_key, kind="stable")
-    del value_key
-    cell_key = cell_key[order]
-    by_cell = np.argsort(cell_key, kind="stable")
-    cell_key = cell_key[by_cell]
+    points = np.ascontiguousarray(points)
+    order = np.argsort(points.view(complex).ravel(), kind="stable")
+    cells = np.take(points, order, axis=0)
+    cells /= cell
+    np.floor(cells, out=cells)
+    cells = cells.view(complex).ravel()
+    by_cell = np.argsort(cells, kind="stable")
+    # sorted in place, the keys read as cells[by_cell] without a second copy
+    cells.sort(kind="stable")
     keep = np.zeros(n, dtype=bool)
-    keep[by_cell[_run_starts(cell_key)]] = True
-    del cell_key, by_cell
-    return points[order[keep]]
+    keep[by_cell[_run_starts(cells)]] = True
+    # freed first, or gathering the kept rows would set the memory peak
+    del cells, by_cell
+    return np.take(points, order[keep], axis=0)
 
 
 def _run_starts(keys):
@@ -319,16 +302,6 @@ def _run_starts(keys):
     starts[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     return starts
-
-
-def _push_digit(key, perm, digit, radix):
-    """key[perm] = key[perm] * radix + digit, for a digit listed in perm's
-    order; the digit array is overwritten."""
-    shifted = key[perm]
-    shifted *= radix
-    digit += shifted
-    del shifted
-    key[perm] = digit
 
 
 def _certificate(spec, depth):

@@ -30,14 +30,27 @@ _MARGIN = 0.05
 # the largest image rasterized, 96 MiB as RGB bytes
 _MAX_PIXELS = 1 << 25
 
+# Images are laid out in quarter coordinates. A power-of-two scale is exact
+# above the subnormal range, so every pixel is the same, and quarters of two
+# finite coordinates, margin included, differ by a finite amount: an image too
+# tall or too wide for the cap is refused by the cap, with no overflow on the
+# way.
+_SCALE = 0.25
+
 
 def render_bounds(spec):
     """Union of the seed boxes with a 5% margin, as (lo, hi) arrays in 2-d.
 
     One-dimensional systems render on a horizontal band of fixed height.
     """
-    los = np.array([spec.seed_boxes[v].lo for v in spec.graph.vertices])
-    his = np.array([spec.seed_boxes[v].hi for v in spec.graph.vertices])
+    lo, hi = _quarter_bounds(spec)
+    return lo / _SCALE, hi / _SCALE
+
+
+def _quarter_bounds(spec):
+    """render_bounds in quarter coordinates, finite for any valid spec."""
+    los = np.array([spec.seed_boxes[v].lo for v in spec.graph.vertices]) * _SCALE
+    his = np.array([spec.seed_boxes[v].hi for v in spec.graph.vertices]) * _SCALE
     lo, hi = los.min(axis=0), his.max(axis=0)
     if spec.dimension == 1:
         width = float(hi[0] - lo[0])
@@ -52,7 +65,7 @@ def rasterize(spec, approx, px=512):
     the aspect of the bounds, and an image above _MAX_PIXELS is refused."""
     if px < 16:
         raise ValueError("image width must be at least 16 pixels")
-    lo, hi = render_bounds(spec)
+    lo, hi = _quarter_bounds(spec)
     span = hi - lo
     # a width past the cap is refused at any height; the height is a Python
     # float, so one too large for an int or a float (inf) is refused too
@@ -65,7 +78,7 @@ def rasterize(spec, approx, px=512):
     image = np.full((int(height), px, 3), 255, dtype=np.uint8)
     for k, v in enumerate(spec.graph.vertices):
         color = PALETTE[k % len(PALETTE)]
-        pts = approx.cloud(v).points
+        pts = approx.cloud(v).points * _SCALE
         if spec.dimension == 1:
             xy = np.column_stack([pts[:, 0], np.zeros(len(pts))])
         else:

@@ -167,12 +167,15 @@ class TestSweepMemory:
 
     The sweep holds the previous level, one vertex's last level and its dedup
     temporaries: about 29 bytes per path in 1-D (8 for the point, 4 for half a
-    previous level, 17 for one stable sort) and 46 in 2-D. Holding a second
-    copy of the whole last level and np.unique's temporaries took 73 and 72.
+    previous level, 17 for one stable sort) and 41 to 42 in 2-D, where the
+    rows and then their cells are sorted as complex numbers (45 to 46 with
+    per-axis int64 ranks). Holding a second copy of the whole last level and
+    np.unique's temporaries took 73 and 72.
     """
 
     @pytest.mark.parametrize("name,depth,bound", [("duplicate_map", 18, 50),
-                                                  ("penrose", 12, 60)])
+                                                  ("penrose", 12, 60),
+                                                  ("two_part_dust", 16, 60)])
     def test_peak_bytes_per_path(self, name, depth, bound):
         spec = bundled(name)
         tracemalloc.start()

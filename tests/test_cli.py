@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -65,6 +66,29 @@ class TestValidate:
         code, _, err = run_cli("validate", str(target))
         assert code == 2
         assert "e1" in err
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-math.inf, 1.0),
+                                       (math.nan, 1.0)])
+    def test_seed_box_without_finite_diameter_is_input_error(self, tmp_path,
+                                                             lo, hi):
+        # the second map sends [-1e308, 1e308] to [4e307, 1.4e308], outside
+        # the box; an infinite diagonal used to make the nesting check's
+        # slack infinite, so the spec was accepted
+        doc = {
+            "name": "huge", "dimension": 1,
+            "vertices": [{"id": "v", "seed_box": [[lo], [hi]]}],
+            "edges": [
+                {"id": f"e{k}", "source": "v", "range": "v",
+                 "map": {"kind": "affine", "matrix": [[0.5]],
+                         "translation": [shift]}}
+                for k, shift in enumerate((0.0, 0.9e308))],
+        }
+        target = tmp_path / "huge.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli("validate", str(target))
+        assert code == 2
+        assert err.startswith("error:") and "no finite diameter" in err
+        assert out == ""
 
 
 class TestAttractor:

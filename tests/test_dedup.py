@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from conftest import bundled
 from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
     _dedup_sorted, invariant_list, total_paths
-from mwlab.errors import ResolutionError
 from mwlab.geometry import AffineContraction
 from mwlab.graph import Graph
 
@@ -139,13 +138,15 @@ def test_empty_cloud():
         assert _dedup_sorted(np.empty((0, d)), 0.1).shape == (0, d)
 
 
-def test_keys_refuse_to_wrap():
-    # 7,000 distinct values on each of five axes: the mixed-radix key would
-    # need 7000**5 > 2**63 values
-    points = np.random.default_rng(5).random((7000, 5))
-    with pytest.raises(ResolutionError, match="int64 dedup keys"):
-        _dedup_sorted(points, 1e-3)
-    _dedup_sorted(points[:, :4], 1e-3)
+def test_non_contiguous_input():
+    # a column slice of a wider array and a Fortran-ordered copy: rows that
+    # cannot be viewed in place as one complex number each
+    rng = np.random.default_rng(11)
+    wide = rng.choice([0.0, -0.0, 0.1, 0.3, 0.55], size=(3000, 4))
+    for points in (wide[:, 1:3], wide[::2, ::2], np.asfortranarray(wide[:, :2])):
+        assert not points.flags.c_contiguous
+        for cell in (0.25, 1e-9):
+            assert_same_bytes(points, cell)
 
 
 @pytest.mark.parametrize("name,depth", [("squares_z2", 6), ("penrose", 10),

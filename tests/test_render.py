@@ -115,6 +115,8 @@ class TestImageSizeCap:
         ((1.0, 1e6), 10 ** 400),
         # an aspect of 1e600 overflows a float
         ((1e-300, 1e300), 512),
+        # a finite box whose height with the margin overflows a float
+        ((1.0, 1.7e308), 512),
     ])
     def test_cli_exits_with_resource_error(self, tmp_path, no_allocation, box,
                                            px):
