@@ -29,11 +29,11 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-# unused here: perfbench's traced run counts KD-tree builds by patching it
-from scipy.spatial import cKDTree
 
 from .errors import BudgetExceededError, ResolutionError, SpecValidationError
-from .geometry import AffineContraction, LabeledPoint, hausdorff_distance
+# cKDTree is geometry's lazy KD-tree builder, unused here; the name stays
+# because the benchmark's traced run counts builds by patching it per module
+from .geometry import AffineContraction, LabeledPoint, cKDTree, hausdorff_distance
 from .graph import Graph, has_sinks_or_sources, vertex_matrix
 
 __all__ = [

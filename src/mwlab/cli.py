@@ -14,7 +14,7 @@ from .datasets import bundled_text, list_bundled, load_bundled
 from .errors import BudgetExceededError, ResolutionError, SpecValidationError
 from .graph import vertex_matrix
 from .ktheory import IntMatrix
-from .render import render_attractor
+from .render import image_shape, render_attractor
 from .reports import build_analysis_report, ktheory_lines, ktheory_summary, \
     reference_lines, render_json, render_text
 from .specio import parse_spec
@@ -90,6 +90,8 @@ def _cmd_validate(args, out):
 
 def _cmd_attractor(args, out):
     spec = _resolve_spec(args.spec)
+    if args.png:
+        image_shape(spec, args.px)  # refuse the image before the sweep
     approx = invariant_list(spec, args.depth)
     out.write(f"computed depth-{approx.depth} approximation: "
               f"{approx.total_points()} points, error bound "

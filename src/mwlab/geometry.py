@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import GeometryError
 
@@ -206,6 +205,15 @@ def similarity_from_pairs(p1, q1, p2, q2, reflect=False):
     if ratio == 0.0:
         raise GeometryError("target points coincide; the map would be singular")
     return AffineContraction(m, [t.real, t.imag])
+
+
+def cKDTree(data, *args, **kwargs):  # noqa: N802  stands in for the class
+    """scipy.spatial.cKDTree(data, ...), importing scipy.spatial on first call.
+
+    Only KD-tree builds need scipy, so runs that build none never load it.
+    """
+    from scipy.spatial import cKDTree as build
+    return build(data, *args, **kwargs)
 
 
 def hausdorff_distance(a, b):

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import ResolutionError
 
-__all__ = ["PALETTE", "render_bounds", "rasterize", "write_png", "render_attractor"]
+__all__ = ["PALETTE", "render_bounds", "image_shape", "rasterize", "write_png",
+           "render_attractor"]
 
 # first color per declared vertex, cycling if a system has more components
 PALETTE = (
@@ -60,9 +61,14 @@ def _quarter_bounds(spec):
     return lo - pad, hi + pad
 
 
-def rasterize(spec, approx, px=512):
-    """Render the clouds to an RGB uint8 array of width px; the height follows
-    the aspect of the bounds, and an image above _MAX_PIXELS is refused."""
+def image_shape(spec, px=512):
+    """(height, width) of the image rasterize makes of spec at width px.
+
+    The height follows the aspect of the bounds. A width below 16 is refused
+    with ValueError and an image above _MAX_PIXELS with ResolutionError. Both
+    depend on the spec and px only, so a caller can check them before it
+    computes the clouds.
+    """
     if px < 16:
         raise ValueError("image width must be at least 16 pixels")
     lo, hi = _quarter_bounds(spec)
@@ -75,7 +81,15 @@ def rasterize(spec, approx, px=512):
         raise ResolutionError(
             f"an image of at least {px} x {height:.6g} pixels exceeds the cap "
             f"of {_MAX_PIXELS} pixels; lower the width")
-    image = np.full((int(height), px, 3), 255, dtype=np.uint8)
+    return int(height), px
+
+
+def rasterize(spec, approx, px=512):
+    """Render the clouds to an RGB uint8 array of the shape image_shape gives."""
+    height, _ = image_shape(spec, px)
+    lo, hi = _quarter_bounds(spec)
+    span = hi - lo
+    image = np.full((height, px, 3), 255, dtype=np.uint8)
     for k, v in enumerate(spec.graph.vertices):
         color = PALETTE[k % len(PALETTE)]
         pts = approx.cloud(v).points * _SCALE

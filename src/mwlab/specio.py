@@ -19,10 +19,12 @@ Edge maps come in three kinds:
      "reflect": false}
 
 Open-set pieces are [lo, hi] intervals in dimension 1 and counterclockwise
-vertex lists in dimension 2.
+vertex lists in dimension 2. Every coordinate and map parameter is a JSON
+number (not a boolean) that converts to a finite float64.
 """
 
 import json
+import math
 from pathlib import Path
 
 from .attractor import MWGraphSpec, SeedBox
@@ -43,10 +45,43 @@ def _require(doc, key, kind, where):
     if key not in doc:
         raise SpecValidationError(f"missing field {key!r}", field=where)
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int
+    if kind is not None and (not isinstance(value, kind)
+                             or isinstance(value, bool)):
         raise SpecValidationError(
             f"field {key!r} has wrong type {type(value).__name__}", field=where)
     return value
+
+
+def _numbers(value, where):
+    """value, after checking that every entry of it, through nested lists,
+    is a number.
+
+    A number is a JSON int or float that converts to a finite float64: a
+    bool, a string, NaN, an infinity or an integer literal beyond float64 is
+    refused with the path of the entry.
+    """
+    if isinstance(value, list):
+        for k, item in enumerate(value):
+            _numbers(item, f"{where}[{k}]")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecValidationError(
+            f"expected a number, got {type(value).__name__}", field=where)
+    try:
+        finite = math.isfinite(float(value))
+    except OverflowError:
+        finite = False
+    if not finite:
+        shown = repr(value) if isinstance(value, float) else \
+            "an integer beyond the float64 range"
+        raise SpecValidationError(
+            f"{shown} is not a finite float64 number", field=where)
+    return value
+
+
+def _require_numbers(doc, key, kind, where):
+    return _numbers(_require(doc, key, kind, where), f"{where}.{key}")
 
 
 def _parse_map(entry, dimension, where):
@@ -54,26 +89,26 @@ def _parse_map(entry, dimension, where):
     try:
         if kind == "affine":
             return AffineContraction(
-                _require(entry, "matrix", list, where),
-                _require(entry, "translation", list, where))
+                _require_numbers(entry, "matrix", list, where),
+                _require_numbers(entry, "translation", list, where))
         if kind == "similarity":
             if dimension != 2:
                 raise SpecValidationError(
                     "similarity maps need dimension 2", field=where)
             return similarity_from_params(
-                _require(entry, "ratio", (int, float), where),
-                _require(entry, "rotation_deg", (int, float), where),
-                _require(entry, "fixed_point", list, where),
+                _require_numbers(entry, "ratio", (int, float), where),
+                _require_numbers(entry, "rotation_deg", (int, float), where),
+                _require_numbers(entry, "fixed_point", list, where),
                 bool(entry.get("reflect", False)))
         if kind == "pairs":
             if dimension != 2:
                 raise SpecValidationError(
                     "pair-defined maps need dimension 2", field=where)
             return similarity_from_pairs(
-                _require(entry, "p1", list, where),
-                _require(entry, "q1", list, where),
-                _require(entry, "p2", list, where),
-                _require(entry, "q2", list, where),
+                _require_numbers(entry, "p1", list, where),
+                _require_numbers(entry, "q1", list, where),
+                _require_numbers(entry, "p2", list, where),
+                _require_numbers(entry, "q2", list, where),
                 bool(entry.get("reflect", False)))
     except GeometryError as exc:
         raise SpecValidationError(str(exc), field=where) from exc
@@ -89,6 +124,7 @@ def _parse_open_sets(raw, dimension, vertices):
         parsed = []
         for k, piece in enumerate(pieces):
             where = f"open_sets[{vertex}][{k}]"
+            _numbers(piece, where)
             try:
                 if dimension == 1:
                     if len(piece) != 2:
@@ -115,7 +151,7 @@ def parse_spec_document(doc):
     for k, entry in enumerate(raw_vertices):
         where = f"vertices[{k}]"
         vid = str(_require(entry, "id", None, where))
-        box = _require(entry, "seed_box", list, where)
+        box = _require_numbers(entry, "seed_box", list, where)
         if len(box) != 2:
             raise SpecValidationError("seed_box must be [[lo...], [hi...]]",
                                       field=where)

@@ -11,6 +11,7 @@ import pytest
 
 import mwlab
 from mwlab.cli import main
+from mwlab.datasets import bundled_document
 from mwlab.graph import vertex_matrix
 from mwlab.ktheory import IntMatrix
 from mwlab.specio import serialize_spec
@@ -73,7 +74,8 @@ class TestValidate:
                                                              lo, hi):
         # the second map sends [-1e308, 1e308] to [4e307, 1.4e308], outside
         # the box; an infinite diagonal used to make the nesting check's
-        # slack infinite, so the spec was accepted
+        # slack infinite, so the spec was accepted. A corner that is not
+        # finite itself is refused earlier, at its entry.
         doc = {
             "name": "huge", "dimension": 1,
             "vertices": [{"id": "v", "seed_box": [[lo], [hi]]}],
@@ -87,7 +89,50 @@ class TestValidate:
         target.write_text(json.dumps(doc))
         code, out, err = run_cli("validate", str(target))
         assert code == 2
-        assert err.startswith("error:") and "no finite diameter" in err
+        if math.isfinite(lo):
+            assert err.startswith("error:") and "no finite diameter" in err
+        else:
+            assert err == (f"error: vertices[0].seed_box[0][0]: {lo!r} is not "
+                           "a finite float64 number\n")
+        assert out == ""
+
+
+def edit(path, value):
+    """An edit of a cantor_ifs document: the entry at path set to value."""
+    def apply(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return apply
+
+
+class TestSpecNumbers:
+    """Every number in a document is a JSON int or float that converts to a
+    finite float64; anything else is refused at its entry, by path."""
+
+    @pytest.mark.parametrize("change,named", [
+        (edit(["vertices", 0, "seed_box", 1, 0], 10 ** 400),
+         "vertices[0].seed_box[1][0]: an integer beyond the float64 range"),
+        (edit(["edges", 1, "map", "translation", 0], -10 ** 400),
+         "edges[1].map (edge e2).translation[0]: an integer beyond the "
+         "float64 range"),
+        (edit(["edges", 0, "map", "matrix", 0, 0], "0.3"),
+         "edges[0].map (edge e1).matrix[0][0]: expected a number, got str"),
+        (edit(["edges", 1, "map", "translation", 0], True),
+         "edges[1].map (edge e2).translation[0]: expected a number, got bool"),
+        (edit(["dimension"], True),
+         "document: field 'dimension' has wrong type bool"),
+    ], ids=["huge-seed-box", "huge-map-entry", "string-in-matrix",
+            "bool-in-translation", "bool-dimension"])
+    def test_refused_with_field_path(self, tmp_path, change, named):
+        doc = bundled_document("cantor_ifs")
+        change(doc)
+        target = tmp_path / "edited.json"
+        target.write_text(json.dumps(doc))
+        code, out, err = run_cli("validate", str(target))
+        assert code == 2
+        assert err.startswith(f"error: {named}")
         assert out == ""
 
 

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+import mwlab.cli
 import mwlab.render
 from conftest import approx_for, bundled
 from mwlab.cli import main
@@ -146,3 +147,43 @@ class TestImageSizeCap:
         monkeypatch.setattr(mwlab.render, "_MAX_PIXELS", height * width - 1)
         with pytest.raises(ResolutionError, match=f"512 x {height} pixels"):
             rasterize(spec, approx, px=512)
+
+
+class TestImageRefusedBeforeSweep:
+    """A width or an image size the renderer refuses is refused before any
+    point is computed, so neither the summary nor the CSV is written."""
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the clouds were computed")
+
+        monkeypatch.setattr(mwlab.cli, "invariant_list", refuse)
+
+    def attractor(self, tmp_path, spec, px):
+        csv, png = tmp_path / "cloud.csv", tmp_path / "cloud.png"
+        out, err = io.StringIO(), io.StringIO()
+        code = main(["attractor", spec, "--depth", "5", "--csv", str(csv),
+                     "--png", str(png), "--px", str(px)], out=out, err=err)
+        assert out.getvalue() == ""
+        assert not csv.exists() and not png.exists()
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("px", [1, 0, -5])
+    def test_narrow_width(self, tmp_path, no_sweep, px):
+        code, err = self.attractor(tmp_path, "penrose", px)
+        assert code == 2
+        assert err == "error: image width must be at least 16 pixels\n"
+
+    def test_image_above_the_cap(self, tmp_path, no_sweep):
+        doc = tmp_path / "tall.json"
+        doc.write_text(json.dumps(tall(1.0, 1e6)))
+        code, err = self.attractor(tmp_path, str(doc), 512)
+        assert code == 3
+        assert err.startswith("resource error:")
+        assert str(mwlab.render._MAX_PIXELS) in err
+
+    def test_image_shape_matches_rasterize(self):
+        spec = bundled("penrose")
+        image = rasterize(spec, approx_for("penrose", 5), px=200)
+        assert image.shape == (*mwlab.render.image_shape(spec, 200), 3)
