@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .attractor import _certificate
-from .errors import SpecValidationError
+from .errors import GeometryError, ResolutionError, SpecValidationError
 from .geometry import (
     ConvexPolygon,
     Interval,
@@ -273,6 +273,17 @@ def _candidate_pieces(spec, vertex):
     return pieces
 
 
+def _image(piece, edge_id, contraction):
+    # a map whose ratio is below the rounding of the piece's coordinates
+    # collapses the image to a point or a segment in float64
+    try:
+        return piece.transform(contraction)
+    except GeometryError as exc:
+        raise ResolutionError(
+            f"edge {edge_id}: the image of an open-set piece cannot be "
+            f"represented in float64 ({exc})") from exc
+
+
 def open_set_condition(spec, tol=1e-9):
     """Verify a user-supplied open-set candidate family.
 
@@ -287,7 +298,7 @@ def open_set_condition(spec, tol=1e-9):
     candidates = {v: _candidate_pieces(spec, v) for v in spec.graph.vertices}
     failures = []
     one_d = spec.dimension == 1
-    images = {e.id: [p.transform(spec.edge_maps[e.id])
+    images = {e.id: [_image(p, e.id, spec.edge_maps[e.id])
                      for p in candidates[e.range]]
               for e in spec.graph.edges}
     for v in spec.graph.vertices:

@@ -5,22 +5,20 @@ A document is a JSON object with fields:
     name       (string, optional)
     dimension  (1 or 2)
     notes      (string, optional)
-    vertices   [{"id": ..., "seed_box": [[lo...], [hi...]]}, ...]
-    edges      [{"id": ..., "source": ..., "range": ..., "map": {...}}, ...]
-    open_sets  {vertex: [piece, ...]}      (optional)
-    reference  {...}                       (optional, reported verbatim)
+    vertices   [{"id": "v", "seed_box": [[lo...], [hi...]]}, ...]
+    edges      [{"id": "e", "source": "v", "range": "w", "map": {...}}, ...]
+    open_sets  {"v": [piece, ...], ...}   (optional)
+    reference  {...}                      (optional object, reported verbatim)
 
-Edge maps come in three kinds:
-
-    {"kind": "affine", "matrix": [[...]], "translation": [...]}
-    {"kind": "similarity", "ratio": r, "rotation_deg": d,
-     "fixed_point": [x, y], "reflect": false}
-    {"kind": "pairs", "p1": [..], "q1": [..], "p2": [..], "q2": [..],
-     "reflect": false}
-
-Open-set pieces are [lo, hi] intervals in dimension 1 and counterclockwise
-vertex lists in dimension 2. Every coordinate and map parameter is a JSON
-number (not a boolean) that converts to a finite float64.
+An edge map is {"kind": "affine", "matrix": [[...]], "translation": [...]} or,
+in dimension 2 only, a similarity: {"kind": "similarity", "ratio": r,
+"rotation_deg": a, "fixed_point": [x, y]} or {"kind": "pairs", "p1": [x, y],
+"q1", "p2", "q2"} (sending p1 to q1 and p2 to q2), with an optional boolean
+"reflect". Open-set pieces are [lo, hi] in dimension 1 and counterclockwise
+vertex lists in dimension 2. Every number is a JSON number, not a boolean,
+that converts to a finite float64, every array has its field's exact shape,
+ids, source, range, name and notes are strings (_DOCUMENT below); the first
+entry that breaks a rule is refused by its path (SpecValidationError, exit 2).
 """
 
 import json
@@ -41,164 +39,165 @@ from .graph import Graph
 __all__ = ["parse_spec", "parse_spec_document", "serialize_spec"]
 
 
-def _require(doc, key, kind, where):
-    if key not in doc:
-        raise SpecValidationError(f"missing field {key!r}", field=where)
-    value = doc[key]
+# The document, field by field. A kind is one of
+#   float, int, str, bool, dict: a JSON number (int: an integer), string,
+#       boolean or object; a number is never a boolean and converts to a
+#       finite float64;
+#   a tuple (n, ..., kind): a list of n entries of the kind that follows,
+#       "d" standing for the dimension and None for any length;
+#   a dict of fields: an object with those fields, each of its own kind; a
+#       str key stands for every key, and fields in _OPTIONAL may be absent;
+#   _MAPS, _PIECES: an edge map by its "kind", an open-set piece by the
+#       dimension, each built by the function beside its fields or shape
+#       (a map's fields are its builder's parameters).
+_MAPS = {
+    "affine": (AffineContraction, {"matrix": ("d", "d", float),
+                                   "translation": ("d", float)}),
+    "similarity": (similarity_from_params, {
+        "ratio": float, "rotation_deg": float, "fixed_point": (2, float),
+        "reflect": bool}),
+    "pairs": (similarity_from_pairs, {
+        "p1": (2, float), "q1": (2, float), "p2": (2, float),
+        "q2": (2, float), "reflect": bool}),
+}
+_PIECES = {1: (lambda piece: Interval(*map(float, piece)), (2, float)),
+           2: (ConvexPolygon, (None, 2, float))}
+_DOCUMENT = {
+    "name": str,
+    "notes": str,
+    "vertices": (None, {"id": str, "seed_box": (2, "d", float)}),
+    "edges": (None, {"id": str, "source": str, "range": str, "map": _MAPS}),
+    "open_sets": {str: (None, _PIECES)},
+    "reference": dict,
+}
+_OPTIONAL = {"name", "notes", "open_sets", "reference", "reflect"}
+_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+          str: (str, "a string"), bool: (bool, "a boolean"),
+          dict: (dict, "an object"), tuple: (list, "a list")}
+
+
+def _type_error(value, kind):
+    """The name of kind's JSON type when value is not of that type."""
+    types, name = _TYPES[kind if isinstance(kind, type) else type(kind)]
     # JSON true and false load as bool, a subclass of int
-    if kind is not None and (not isinstance(value, kind)
-                             or isinstance(value, bool)):
-        raise SpecValidationError(
-            f"field {key!r} has wrong type {type(value).__name__}", field=where)
-    return value
+    if not isinstance(value, types) or (isinstance(value, bool)
+                                        and types is not bool):
+        return name
 
 
-def _numbers(value, where):
-    """value, after checking that every entry of it, through nested lists,
-    is a number.
+def _refuse(message, path):
+    raise SpecValidationError(message, field=path or "document")
 
-    A number is a JSON int or float that converts to a finite float64: a
-    bool, a string, NaN, an infinity or an integer literal beyond float64 is
-    refused with the path of the entry.
-    """
-    if isinstance(value, list):
+
+def _field_path(path, key, entry):
+    where = f"{path}.{key}" if path else key
+    # a map is named by its edge too, as the graph's own errors name edges
+    return f"{where} (edge {entry['id']})" if key == "map" else where
+
+
+def _check(value, kind, path, d):
+    """Refuse value, or the first entry in it, that is not of the given kind,
+    naming the entry by its path from the document root."""
+    if kind is _PIECES:
+        kind = _PIECES[d][1]
+    if wanted := _type_error(value, kind):
+        _refuse(f"expected {wanted}, got {type(value).__name__}", path)
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            shown = repr(value) if isinstance(value, float) else \
+                "an integer beyond the float64 range"
+            _refuse(f"{shown} is not a finite float64 number", path)
+    elif isinstance(kind, tuple):
+        size = d if kind[0] == "d" else kind[0]
+        if size is not None and len(value) != size:
+            _refuse(f"expected a list of length {size}, got length "
+                    f"{len(value)}", path)
         for k, item in enumerate(value):
-            _numbers(item, f"{where}[{k}]")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecValidationError(
-            f"expected a number, got {type(value).__name__}", field=where)
+            _check(item, kind[1:] if len(kind) > 2 else kind[1],
+                   f"{path}[{k}]", d)
+    elif kind is _MAPS:
+        _check(value, {"kind": str}, path, d)
+        if value["kind"] not in _MAPS:
+            _refuse(f"unknown map kind {value['kind']!r}", path)
+        if value["kind"] != "affine" and d != 2:  # similarities are plane maps
+            _refuse(f"{value['kind']} maps need dimension 2", path)
+        _check(value, _MAPS[value["kind"]][1], path, d)
+    elif isinstance(kind, dict):
+        for key, sub in kind.items():
+            if key is str:
+                for name, item in value.items():
+                    _check(item, sub, f"{path}[{name}]", d)
+            elif key in value:
+                if _type_error(value[key], sub):
+                    _refuse(f"field {key!r} has wrong type "
+                            f"{type(value[key]).__name__}", path)
+                _check(value[key], sub, _field_path(path, key, value), d)
+            elif key not in _OPTIONAL:
+                _refuse(f"missing field {key!r}", path)
+
+
+def _build(where, make, *args, **kwargs):
+    """make(*args, **kwargs), a geometry error reported under where."""
     try:
-        finite = math.isfinite(float(value))
-    except OverflowError:
-        finite = False
-    if not finite:
-        shown = repr(value) if isinstance(value, float) else \
-            "an integer beyond the float64 range"
-        raise SpecValidationError(
-            f"{shown} is not a finite float64 number", field=where)
-    return value
-
-
-def _require_numbers(doc, key, kind, where):
-    return _numbers(_require(doc, key, kind, where), f"{where}.{key}")
-
-
-def _parse_map(entry, dimension, where):
-    kind = _require(entry, "kind", str, where)
-    try:
-        if kind == "affine":
-            return AffineContraction(
-                _require_numbers(entry, "matrix", list, where),
-                _require_numbers(entry, "translation", list, where))
-        if kind == "similarity":
-            if dimension != 2:
-                raise SpecValidationError(
-                    "similarity maps need dimension 2", field=where)
-            return similarity_from_params(
-                _require_numbers(entry, "ratio", (int, float), where),
-                _require_numbers(entry, "rotation_deg", (int, float), where),
-                _require_numbers(entry, "fixed_point", list, where),
-                bool(entry.get("reflect", False)))
-        if kind == "pairs":
-            if dimension != 2:
-                raise SpecValidationError(
-                    "pair-defined maps need dimension 2", field=where)
-            return similarity_from_pairs(
-                _require_numbers(entry, "p1", list, where),
-                _require_numbers(entry, "q1", list, where),
-                _require_numbers(entry, "p2", list, where),
-                _require_numbers(entry, "q2", list, where),
-                bool(entry.get("reflect", False)))
+        return make(*args, **kwargs)
     except GeometryError as exc:
         raise SpecValidationError(str(exc), field=where) from exc
-    raise SpecValidationError(f"unknown map kind {kind!r}", field=where)
-
-
-def _parse_open_sets(raw, dimension, vertices):
-    out = {}
-    for vertex, pieces in raw.items():
-        if vertex not in vertices:
-            raise SpecValidationError(
-                f"open set for unknown vertex {vertex!r}", field="open_sets")
-        parsed = []
-        for k, piece in enumerate(pieces):
-            where = f"open_sets[{vertex}][{k}]"
-            _numbers(piece, where)
-            try:
-                if dimension == 1:
-                    if len(piece) != 2:
-                        raise SpecValidationError(
-                            "interval piece must be [lo, hi]", field=where)
-                    parsed.append(Interval(float(piece[0]), float(piece[1])))
-                else:
-                    parsed.append(ConvexPolygon(piece))
-            except GeometryError as exc:
-                raise SpecValidationError(str(exc), field=where) from exc
-        out[vertex] = parsed
-    return out
 
 
 def parse_spec_document(doc):
     """Validate a parsed JSON object and build the system it describes."""
-    if not isinstance(doc, dict):
-        raise SpecValidationError("document root must be an object")
-    dimension = _require(doc, "dimension", int, "document")
-    raw_vertices = _require(doc, "vertices", list, "document")
-    raw_edges = _require(doc, "edges", list, "document")
+    _check(doc, {"dimension": int}, "", None)  # every shape depends on it
+    d = doc["dimension"]
+    if d not in (1, 2):
+        _refuse(f"dimension must be 1 or 2, got {d}", "")
+    _check(doc, _DOCUMENT, "", d)
 
-    vertex_ids, seed_boxes = [], {}
-    for k, entry in enumerate(raw_vertices):
-        where = f"vertices[{k}]"
-        vid = str(_require(entry, "id", None, where))
-        box = _require_numbers(entry, "seed_box", list, where)
-        if len(box) != 2:
-            raise SpecValidationError("seed_box must be [[lo...], [hi...]]",
-                                      field=where)
-        vertex_ids.append(vid)
-        seed_boxes[vid] = SeedBox(tuple(box[0]), tuple(box[1]))
-
-    edge_rows, edge_maps, edge_map_params = [], {}, {}
-    for k, entry in enumerate(raw_edges):
-        where = f"edges[{k}]"
-        eid = str(_require(entry, "id", None, where))
-        source = str(_require(entry, "source", None, where))
-        range_ = str(_require(entry, "range", None, where))
-        mp = _require(entry, "map", dict, where)
-        edge_rows.append((eid, source, range_))
-        edge_maps[eid] = _parse_map(mp, dimension, f"{where}.map (edge {eid})")
-        edge_map_params[eid] = mp
-
+    seed_boxes = {v["id"]: SeedBox(*v["seed_box"]) for v in doc["vertices"]}
+    edge_maps = {}
+    for k, e in enumerate(doc["edges"]):
+        make, fields = _MAPS[e["map"]["kind"]]
+        args = {f: value for f, value in e["map"].items() if f in fields}
+        edge_maps[e["id"]] = _build(_field_path(f"edges[{k}]", "map", e), make,
+                                    **args)
     try:
-        graph = Graph(vertex_ids, edge_rows)
+        graph = Graph([v["id"] for v in doc["vertices"]],
+                      [(e["id"], e["source"], e["range"]) for e in doc["edges"]])
     except ValueError as exc:
         raise SpecValidationError(str(exc), field="edges") from exc
 
-    open_sets = None
-    if doc.get("open_sets"):
-        open_sets = _parse_open_sets(doc["open_sets"], dimension, set(vertex_ids))
+    open_sets = {}
+    for vertex, pieces in doc.get("open_sets", {}).items():
+        if vertex not in seed_boxes:
+            raise SpecValidationError(
+                f"open set for unknown vertex {vertex!r}", field="open_sets")
+        open_sets[vertex] = [
+            _build(f"open_sets[{vertex}][{k}]", _PIECES[d][0], piece)
+            for k, piece in enumerate(pieces)]
 
     return MWGraphSpec(
-        graph=graph,
-        dimension=dimension,
-        seed_boxes=seed_boxes,
-        edge_maps=edge_maps,
-        open_sets=open_sets,
-        name=str(doc.get("name", "")),
-        notes=str(doc.get("notes", "")),
-        reference=doc.get("reference"),
-        edge_map_params=edge_map_params)
+        graph=graph, dimension=d, seed_boxes=seed_boxes, edge_maps=edge_maps,
+        open_sets=open_sets, name=doc.get("name", ""),
+        notes=doc.get("notes", ""), reference=doc.get("reference"),
+        edge_map_params={e["id"]: e["map"] for e in doc["edges"]})
 
 
 def parse_spec(path):
     """Load and validate a system description from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SpecValidationError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             field=str(path)) from exc
+    # text that is not UTF-8, an integer literal too long to read, or
+    # nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise SpecValidationError(f"unreadable JSON: {exc}",
+                                  field=str(path)) from exc
     return parse_spec_document(doc)
 
 

@@ -97,19 +97,24 @@ class TestValidate:
         assert out == ""
 
 
-def edit(path, value):
-    """An edit of a cantor_ifs document: the entry at path set to value."""
-    def apply(doc):
+def edit(path, value, example="cantor_ifs"):
+    """A bundled document with the entry at path set to value."""
+    def edited():
+        doc = bundled_document(example)
         *parents, last = path
+        entry = doc
         for key in parents:
-            doc = doc[key]
-        doc[last] = value
-    return apply
+            entry = entry[key]
+        entry[last] = value
+        return doc
+    return edited
 
 
 class TestSpecNumbers:
     """Every number in a document is a JSON int or float that converts to a
-    finite float64; anything else is refused at its entry, by path."""
+    finite float64, every array has the shape its field needs, and every
+    other field has its JSON type; anything else is refused at its entry, by
+    path, before it can end in a traceback or be misread."""
 
     @pytest.mark.parametrize("change,named", [
         (edit(["vertices", 0, "seed_box", 1, 0], 10 ** 400),
@@ -123,17 +128,68 @@ class TestSpecNumbers:
          "edges[1].map (edge e2).translation[0]: expected a number, got bool"),
         (edit(["dimension"], True),
          "document: field 'dimension' has wrong type bool"),
+        (edit(["open_sets", "v", 0], 5),
+         "open_sets[v][0]: expected a list, got int\n"),
+        (edit(["open_sets"], [[0.0, 1.0]]),
+         "document: field 'open_sets' has wrong type list\n"),
+        (edit(["open_sets"], "v"),
+         "document: field 'open_sets' has wrong type str\n"),
+        (edit(["open_sets", "v"], 5), "open_sets[v]: expected a list, got int\n"),
+        (edit(["vertices"], [3]), "vertices[0]: expected an object, got int\n"),
+        (edit(["edges", 1], [3]), "edges[1]: expected an object, got list\n"),
+        (edit(["vertices", 0, "seed_box"], [0.0, 1.0]),
+         "vertices[0].seed_box[0]: expected a list, got float\n"),
+        (edit(["edges", 0, "map", "p1"], [[0.0], [0.0]], "squares_z2"),
+         "edges[0].map (edge e1).p1[0]: expected a number, got list\n"),
+        (edit(["edges", 0, "map", "matrix"], [[0.5, 0], [0]]),
+         "edges[0].map (edge e1).matrix: expected a list of length 1, got "
+         "length 2\n"),
+        (edit(["edges", 0, "map", "p1"], [0.0], "squares_z2"),
+         "edges[0].map (edge e1).p1: expected a list of length 2, got "
+         "length 1\n"),
+        (edit(["edges", 0, "map", "translation"], [[0.0]]),
+         "edges[0].map (edge e1).translation[0]: expected a number, got "
+         "list\n"),
+        (edit(["edges", 0, "map", "reflect"], "false", "squares_z2"),
+         "edges[0].map (edge e1): field 'reflect' has wrong type str\n"),
+        (edit(["vertices", 0, "id"], ["v"]),
+         "vertices[0]: field 'id' has wrong type list\n"),
+        (edit(["edges", 0, "id"], 1), "edges[0]: field 'id' has wrong type int\n"),
+        (edit(["edges", 0, "source"], ["v"]),
+         "edges[0]: field 'source' has wrong type list\n"),
+        (edit(["edges", 0, "range"], None),
+         "edges[0]: field 'range' has wrong type NoneType\n"),
+        (edit(["name"], 5), "document: field 'name' has wrong type int\n"),
+        (edit(["notes"], ["x"]), "document: field 'notes' has wrong type list\n"),
+        (edit(["open_sets"], []),
+         "document: field 'open_sets' has wrong type list\n"),
+        (edit(["dimension"], 3), "document: dimension must be 1 or 2, got 3\n"),
     ], ids=["huge-seed-box", "huge-map-entry", "string-in-matrix",
-            "bool-in-translation", "bool-dimension"])
+            "bool-in-translation", "bool-dimension", "number-piece",
+            "open-sets-list", "open-sets-string", "number-pieces",
+            "vertex-not-object", "edge-not-object", "flat-seed-box",
+            "nested-pairs-point", "ragged-matrix", "short-pairs-point",
+            "nested-translation", "string-reflect", "list-vertex-id",
+            "int-edge-id", "list-source", "null-range", "int-name",
+            "list-notes", "empty-open-sets-list", "dimension-3"])
     def test_refused_with_field_path(self, tmp_path, change, named):
-        doc = bundled_document("cantor_ifs")
-        change(doc)
         target = tmp_path / "edited.json"
-        target.write_text(json.dumps(doc))
+        target.write_text(json.dumps(change()))
         code, out, err = run_cli("validate", str(target))
         assert code == 2
         assert err.startswith(f"error: {named}")
         assert out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["ktheory"], ["conditions", "--depth", "3"],
+        ["report", "--depth", "3"]],
+        ids=["validate", "ktheory", "conditions", "report"])
+    def test_reference_must_be_an_object(self, tmp_path, command):
+        target = tmp_path / "edited.json"
+        target.write_text(json.dumps(edit(["reference"], "Z/2Z")()))
+        code, out, err = run_cli(command[0], str(target), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: document: field 'reference' has wrong type str\n"
 
 
 class TestAttractor:

@@ -83,6 +83,16 @@ class TestParsing:
             parse_spec(target)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("raw", [b"[" * 100_000, b"\xff\xfe{}"],
+                             ids=["nested-too-deep", "not-utf8"])
+    def test_unreadable_file_named(self, tmp_path, raw):
+        target = tmp_path / "unreadable.json"
+        target.write_bytes(raw)
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(target)
+        assert err.value.field == str(target)
+        assert str(err.value).startswith(f"{target}: unreadable JSON: ")
+
     def test_missing_field_reported(self):
         with pytest.raises(SpecValidationError) as err:
             parse_spec_document({"dimension": 2, "vertices": []})
