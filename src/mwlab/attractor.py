@@ -19,8 +19,10 @@ one vertex's last level and that vertex's dedup temporaries. The budget
 check's exact path count travels on the result as paths_total, and the
 invariance residual builds its unions with the sweep's level builder.
 
-The dedup needs one stable sort in one dimension and two in two, of the rows
-and then of their cells, each row read as one complex number;
+The dedup sorts the last level in place, each 2-D row read as one complex
+number, then finds the first point of each grid cell one slab of rows at a
+time, and copies the level only when it drops a point. Its only cloud-sized
+temporaries are numpy's sort buffer and a mask of one byte per row;
 _dedup_sorted sets out how.
 """
 
@@ -59,6 +61,11 @@ POINT_BUDGET_ENV = "MWLAB_POINT_BUDGET"
 # below the inter-depth Hausdorff distances even when edge ratios are mixed,
 # while still collapsing coincident points (shared cell corners and the like).
 _DEDUP_DIVISOR = 1024
+
+# Rows per slab of the dedup's scan, before a 2-D slab is stretched to the end
+# of its last grid column: enough rows that numpy's per-call cost is small,
+# few enough that a slab's temporaries are small beside the cloud.
+_SLAB_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,10 @@ class MWGraphSpec:
         if self.dimension not in (1, 2):
             raise SpecValidationError(
                 f"dimension must be 1 or 2, got {self.dimension}")
+        # every bound below is a max or min over the vertices or edges
+        if not self.graph.vertices:
+            raise SpecValidationError("a system needs at least one vertex",
+                                      field="vertices")
         for v in self.graph.vertices:
             if v not in self.seed_boxes:
                 raise SpecValidationError(f"missing seed box for vertex {v!r}")
@@ -259,40 +270,68 @@ def _dedup_sorted(points, cell):
     """Keep the lexicographically smallest point per grid cell, in lexicographic
     order; points that compare equal (±0.0 included) keep their input order.
 
-    The points have 1 or 2 columns, the only dimensions a spec allows. In one
-    dimension one stable sort does it: floor(value / cell) never decreases as
-    the value grows, so each grid column is a run of the sorted values and
-    its first value is the smallest.
+    The points have 1 or 2 columns, the only dimensions a spec allows. A
+    C-contiguous argument is sorted in place, and returned itself when no
+    point is dropped; any other argument is copied first and left as it is.
+    The sort is stable and by value: each 2-D row viewed as one complex
+    number is its own key, since numpy orders complex numbers by real part,
+    then imaginary part, and compares ±0.0 as equal. That is the sequence a
+    stable argsort would gather, without the index array or the gathered copy.
 
-    In two, each float64 row viewed as one complex number is its own sort key,
-    since numpy orders complex numbers by real part, then imaginary part, and
-    compares ±0.0 as equal. A stable sort of the rows puts the points in
-    lexicographic order; their cells floor(row / cell), viewed the same way,
-    are then stably sorted, which groups each cell with its points still in
-    that order, and the first of each group is the cell's lexicographically
-    smallest point.
+    The sorted rows are then scanned one slab of rows at a time, so the only
+    cloud-sized temporary is the mask of rows kept. In one dimension
+    floor(value / cell) never decreases as the value grows, so each grid
+    column is a run of the sorted values and its first value is the
+    smallest. In two, the grid columns floor(x / cell) never decrease either,
+    so no cell spans two columns, and each slab is stretched to the end of
+    its last column: a stable argsort of the slab's cells floor(row / cell),
+    viewed as complex numbers, groups each cell with its points still in
+    lexicographic order, and the first of each group is the cell's smallest
+    point.
     """
-    n, d = points.shape
-    if d == 1:
-        order = np.argsort(points[:, 0], kind="stable")
-        cols = points[order, 0]
-        cols /= cell
-        np.floor(cols, out=cols)
-        return points[order[_run_starts(cols)]]
     points = np.ascontiguousarray(points)
-    order = np.argsort(points.view(complex).ravel(), kind="stable")
-    cells = np.take(points, order, axis=0)
-    cells /= cell
-    np.floor(cells, out=cells)
-    cells = cells.view(complex).ravel()
-    by_cell = np.argsort(cells, kind="stable")
-    # sorted in place, the keys read as cells[by_cell] without a second copy
-    cells.sort(kind="stable")
+    n, d = points.shape
+    (points.view(complex) if d == 2 else points).ravel().sort(kind="stable")
+    x = points[:, 0]
     keep = np.zeros(n, dtype=bool)
-    keep[by_cell[_run_starts(cells)]] = True
-    # freed first, or gathering the kept rows would set the memory peak
-    del cells, by_cell
-    return np.take(points, order[keep], axis=0)
+    keep[:1] = True
+    start = 0
+    while start < n:
+        stop = min(start + _SLAB_ROWS, n)
+        if d == 1:
+            # from the row before the slab on, so that the slab's first row
+            # is compared with the last row of the slab before it
+            lo = max(start - 1, 0)
+            cols = _grid(x[lo:stop], cell)
+            np.not_equal(cols[1:], cols[:-1], out=keep[lo + 1:stop])
+        else:
+            stop = _column_end(x, stop, cell)
+            cells = _grid(points[start:stop], cell).view(complex).ravel()
+            by_cell = np.argsort(cells, kind="stable")
+            # sorted in place, the keys read as cells[by_cell] without a copy
+            cells.sort(kind="stable")
+            keep[start + by_cell[_run_starts(cells)]] = True
+        start = stop
+    return points if keep.all() else points[keep]
+
+
+def _grid(values, cell):
+    """floor(values / cell), in a new array."""
+    out = values / cell
+    return np.floor(out, out=out)
+
+
+def _column_end(x, stop, cell):
+    """Where the grid column of x[stop - 1] ends in the sorted values x,
+    looked for one slab of rows at a time."""
+    last = np.floor(x[stop - 1] / cell)
+    while stop < len(x):
+        ahead = _grid(x[stop:stop + _SLAB_ROWS], cell)
+        found = int(np.searchsorted(ahead, last, side="right"))
+        stop += found
+        if found < len(ahead):
+            break
+    return stop
 
 
 def _run_starts(keys):

@@ -141,10 +141,11 @@ def _check(value, kind, path, d):
 
 
 def _build(where, make, *args, **kwargs):
-    """make(*args, **kwargs), a geometry error reported under where."""
+    """make(*args, **kwargs), a geometry or seed-box error reported under
+    where."""
     try:
         return make(*args, **kwargs)
-    except GeometryError as exc:
+    except (GeometryError, SpecValidationError) as exc:
         raise SpecValidationError(str(exc), field=where) from exc
 
 
@@ -156,7 +157,9 @@ def parse_spec_document(doc):
         _refuse(f"dimension must be 1 or 2, got {d}", "")
     _check(doc, _DOCUMENT, "", d)
 
-    seed_boxes = {v["id"]: SeedBox(*v["seed_box"]) for v in doc["vertices"]}
+    seed_boxes = {v["id"]: _build(f"vertices[{k}].seed_box", SeedBox,
+                                  *v["seed_box"])
+                  for k, v in enumerate(doc["vertices"])}
     edge_maps = {}
     for k, e in enumerate(doc["edges"]):
         make, fields = _MAPS[e["map"]["kind"]]

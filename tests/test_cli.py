@@ -110,6 +110,13 @@ def edit(path, value, example="cantor_ifs"):
     return edited
 
 
+def empty_graph():
+    """A bundled document with no vertex and no edge."""
+    doc = bundled_document("penrose")
+    doc["vertices"], doc["edges"] = [], []
+    return doc
+
+
 class TestSpecNumbers:
     """Every number in a document is a JSON int or float that converts to a
     finite float64, every array has the shape its field needs, and every
@@ -164,6 +171,12 @@ class TestSpecNumbers:
         (edit(["open_sets"], []),
          "document: field 'open_sets' has wrong type list\n"),
         (edit(["dimension"], 3), "document: dimension must be 1 or 2, got 3\n"),
+        (empty_graph, "vertices: a system needs at least one vertex\n"),
+        (edit(["vertices", 0, "seed_box"], [[1.0], [0.0]]),
+         "vertices[0].seed_box: seed box (1.0,)..(0.0,) has empty interior\n"),
+        (edit(["vertices", 0, "seed_box"], [[-1e308], [1e308]]),
+         "vertices[0].seed_box: seed box (-1e+308,)..(1e+308,) has no finite "
+         "diameter in float64\n"),
     ], ids=["huge-seed-box", "huge-map-entry", "string-in-matrix",
             "bool-in-translation", "bool-dimension", "number-piece",
             "open-sets-list", "open-sets-string", "number-pieces",
@@ -171,7 +184,8 @@ class TestSpecNumbers:
             "nested-pairs-point", "ragged-matrix", "short-pairs-point",
             "nested-translation", "string-reflect", "list-vertex-id",
             "int-edge-id", "list-source", "null-range", "int-name",
-            "list-notes", "empty-open-sets-list", "dimension-3"])
+            "list-notes", "empty-open-sets-list", "dimension-3", "empty-graph",
+            "empty-seed-box", "infinite-seed-box-diagonal"])
     def test_refused_with_field_path(self, tmp_path, change, named):
         target = tmp_path / "edited.json"
         target.write_text(json.dumps(change()))

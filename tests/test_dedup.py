@@ -3,7 +3,8 @@
 `reference_dedup` is the earlier `_dedup_sorted` (a row-wise np.unique) and
 `reference_sweep` the earlier level sweep (each level stacked from per-edge
 chunks), both kept verbatim as oracles: `invariant_list` must return the same
-rows, byte for byte, in the same order.
+rows, byte for byte, in the same order. `_dedup_sorted` sorts a C-contiguous
+argument in place, so the oracles here hand it a copy.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bundled
+from mwlab import attractor
 from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
     _dedup_sorted, invariant_list, total_paths
 from mwlab.geometry import AffineContraction
@@ -49,7 +51,7 @@ def assert_same_clouds(spec, depth):
 
 
 def assert_same_bytes(points, cell):
-    got = _dedup_sorted(points, cell)
+    got = _dedup_sorted(points.copy(), cell)
     want = reference_dedup(points, cell)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -103,6 +105,50 @@ def clouds(draw):
 def test_matches_reference(case):
     points, cell = case
     assert_same_bytes(points, cell)
+
+
+@pytest.mark.parametrize("slab_rows", [1, 2, 3, 7])
+@settings(max_examples=150, deadline=None)
+@given(case=clouds())
+def test_matches_reference_across_slab_boundaries(slab_rows, case):
+    # slabs this short end inside most clouds, and each is stretched to the
+    # end of its last grid column
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attractor, "_SLAB_ROWS", slab_rows)
+        assert_same_bytes(*case)
+
+
+def test_grid_column_longer_than_a_slab(monkeypatch):
+    # every point in one grid column, spread over several cells of it and
+    # listed out of order: the first slab must take in the whole column
+    monkeypatch.setattr(attractor, "_SLAB_ROWS", 4)
+    rng = np.random.default_rng(3)
+    points = np.column_stack([rng.uniform(0.0, 0.25, 200),
+                              rng.choice([0.1, 0.3, 0.6, 0.9], 200)])
+    got = _dedup_sorted(points.copy(), 0.25)
+    assert len(got) == 4
+    assert_same_bytes(points, 0.25)
+
+
+def test_contiguous_argument_is_sorted_in_place():
+    # nothing to drop: the sorted argument itself comes back
+    rng = np.random.default_rng(5)
+    for d in (1, 2):
+        points = rng.permutation(np.arange(-500, 500))[:, None] * [1.0] * d
+        want = reference_dedup(points, 0.5)
+        got = _dedup_sorted(points, 0.5)
+        assert np.shares_memory(got, points)
+        assert got.tobytes() == points.tobytes() == want.tobytes()
+
+
+def test_non_contiguous_argument_is_left_untouched():
+    rng = np.random.default_rng(13)
+    wide = rng.choice([0.0, -0.0, 0.1, 0.3, 0.55], size=(3000, 4))
+    before = wide.tobytes()
+    for points in (wide[:, 1:3], wide[::2, :1], np.asfortranarray(wide[:, :2])):
+        got = _dedup_sorted(points, 0.25)
+        assert not np.shares_memory(got, wide)
+    assert wide.tobytes() == before
 
 
 def test_non_adjacent_rows_of_one_cell():
