@@ -141,16 +141,6 @@ def test_contiguous_argument_is_sorted_in_place():
         assert got.tobytes() == points.tobytes() == want.tobytes()
 
 
-def test_non_contiguous_argument_is_left_untouched():
-    rng = np.random.default_rng(13)
-    wide = rng.choice([0.0, -0.0, 0.1, 0.3, 0.55], size=(3000, 4))
-    before = wide.tobytes()
-    for points in (wide[:, 1:3], wide[::2, :1], np.asfortranarray(wide[:, :2])):
-        got = _dedup_sorted(points, 0.25)
-        assert not np.shares_memory(got, wide)
-    assert wide.tobytes() == before
-
-
 def test_non_adjacent_rows_of_one_cell():
     # sorted, the first and third points share a cell and the second lies
     # between them in another, so comparing adjacent rows keeps all three
@@ -186,13 +176,20 @@ def test_empty_cloud():
 
 def test_non_contiguous_input():
     # a column slice of a wider array and a Fortran-ordered copy: rows that
-    # cannot be viewed in place as one complex number each
+    # cannot be viewed in place as one complex number each, so they are
+    # copied and the argument is left as it was
     rng = np.random.default_rng(11)
     wide = rng.choice([0.0, -0.0, 0.1, 0.3, 0.55], size=(3000, 4))
-    for points in (wide[:, 1:3], wide[::2, ::2], np.asfortranarray(wide[:, :2])):
+    for points in (wide[:, 1:3], wide[::2, ::2], wide[:, :1],
+                   np.asfortranarray(wide[:, :2])):
         assert not points.flags.c_contiguous
+        before = points.tobytes()
         for cell in (0.25, 1e-9):
-            assert_same_bytes(points, cell)
+            got = _dedup_sorted(points, cell)
+            want = reference_dedup(points, cell)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, points)
+            assert points.tobytes() == before
 
 
 @pytest.mark.parametrize("name,depth", [("squares_z2", 6), ("penrose", 10),
