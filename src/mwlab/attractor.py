@@ -12,12 +12,13 @@ evaluation order; the grid diagonal is folded into the reported certificate.
 Depths whose grid cell is too fine for float64 to resolve over the seed boxes
 are refused with a ResolutionError before any point is computed.
 
-The sweep keeps one array per vertex and level, filled edge by edge with the
-images of the previous level. The last level is built one vertex at a time
-and deduplicated at once, so at its peak the sweep holds the previous level,
-one vertex's last level and that vertex's dedup temporaries. The budget
-check's exact path count travels on the result as paths_total, and the
-invariance residual builds its unions with the sweep's level builder.
+The sweep keeps one array per vertex and level, each image written straight
+into it, and stops at level n-2. Each vertex's last level is built from level
+n-2 two edges at a time, through one scratch block, and deduplicated at once,
+so at its peak the sweep holds level n-2, one vertex's last level, the
+scratch block and that vertex's dedup temporaries. The budget check's exact
+path count travels on the result as paths_total, and the invariance residual
+builds its unions with the sweep's level builder.
 
 The dedup sorts the last level in place, each 2-D row read as one complex
 number, then finds the first point of each grid cell one slab of rows at a
@@ -287,7 +288,8 @@ def _dedup_sorted(points, cell):
     its last column: a stable argsort of the slab's cells floor(row / cell),
     viewed as complex numbers, groups each cell with its points still in
     lexicographic order, and the first of each group is the cell's smallest
-    point.
+    point. The groups' starts are read from the keys gathered in that order,
+    a copy the size of one slab, not from a second sort.
     """
     points = np.ascontiguousarray(points)
     n, d = points.shape
@@ -308,9 +310,7 @@ def _dedup_sorted(points, cell):
             stop = _column_end(x, stop, cell)
             cells = _grid(points[start:stop], cell).view(complex).ravel()
             by_cell = np.argsort(cells, kind="stable")
-            # sorted in place, the keys read as cells[by_cell] without a copy
-            cells.sort(kind="stable")
-            keep[start + by_cell[_run_starts(cells)]] = True
+            keep[start + by_cell[_run_starts(cells[by_cell])]] = True
         start = stop
     return points if keep.all() else points[keep]
 
@@ -388,10 +388,12 @@ def invariant_list(spec, depth):
     vertices = spec.graph.vertices
     maps = {v: _out_maps(spec, v) for v in vertices}
     pts = {v: spec.base_point(v)[None, :] for v in vertices}
-    for _ in range(depth - 1):
+    # the levels stop at n-2, and each last level is built from there
+    for _ in range(depth - 2):
         pts = {v: _next_level(pts, maps[v], spec.dimension) for v in vertices}
     clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(
-                  _next_level(pts, maps[v], spec.dimension), cell))
+                  _next_level(pts, maps[v], spec.dimension) if depth == 1
+                  else _last_level(pts, maps, v, spec.dimension), cell))
               for v in vertices}
     return InvariantListApprox(clouds=clouds, depth=depth,
                                error_bound=error_bound, paths_total=needed)
@@ -405,13 +407,64 @@ def _out_maps(spec, vertex):
 def _next_level(pts, maps, dimension):
     """One vertex's points one level deeper: the image of each range vertex's
     points under each of its out-edge maps, in edge order, in one array."""
-    level = np.empty((sum(len(pts[r]) for _, r in maps), dimension))
+    level = np.empty((_rows(pts, maps), dimension))
+    _images_into(pts, maps, level)
+    return level
+
+
+def _last_level(pts, maps, vertex, dimension):
+    """One vertex's points two levels deeper, without the level between.
+
+    For each out-edge e of the vertex, each run of _runs out of its range
+    goes into one scratch block and phi_e of that block into the level: the
+    rows two _next_level calls give, in the same order, from the same float
+    operations. The scratch block is sized to the largest run.
+    """
+    runs = [(e, run) for e, q in maps[vertex] for run in _runs(pts, maps[q])]
+    level = np.empty((sum(_rows(pts, run) for _, run in runs), dimension))
+    scratch = np.empty((max(_rows(pts, run) for _, run in runs), dimension))
+    start = 0
+    for e, run in runs:
+        image = scratch[:_images_into(pts, run, scratch)]
+        start = _apply_into(e, image, level, start)
+    return level
+
+
+def _runs(pts, maps):
+    """The out-edges (map, range vertex) of one vertex, grouped into the runs
+    whose images _last_level maps on at once: each edge on its own, unless
+    the points of one range vertex are a single row. numpy maps one row by a
+    matrix-vector product and several by a matrix-matrix product, which
+    round differently, so such a level is then mapped whole, as phi_e maps
+    the level _next_level makes.
+    """
+    if any(len(pts[r]) == 1 for _, r in maps):
+        return [maps]
+    return [[step] for step in maps]
+
+
+def _rows(pts, maps):
+    """Rows of the images of the points under (map, range vertex) pairs."""
+    return sum(len(pts[r]) for _, r in maps)
+
+
+def _images_into(pts, maps, out):
+    """Write the image of each range vertex's points under its map into out,
+    one after another from its first row; return the rows written."""
     start = 0
     for m, r in maps:
-        stop = start + len(pts[r])
-        level[start:stop] = m.apply(pts[r])
-        start = stop
-    return level
+        start = _apply_into(m, pts[r], out, start)
+    return start
+
+
+def _apply_into(m, points, out, start):
+    """Write m's image of points into out from row start, with the arithmetic
+    of m.apply (points @ M.T, then + t); return the row after the last."""
+    stop = start + len(points)
+    block = out[start:stop]
+    np.matmul(points, m.matrix.T, out=block)
+    block += m.translation
+    return stop
 
 
 def _apply_along(spec, path, points):

@@ -88,10 +88,24 @@ def _cmd_validate(args, out):
     return 0
 
 
+def _refuse_unwritable(path):
+    """Raise an OSError for an output path that cannot be created as a file:
+    one that is a directory, or whose parent is not one."""
+    if path.is_dir():
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    if not path.parent.is_dir():
+        raise FileNotFoundError(
+            f"cannot write {path}: {path.parent} is not a directory")
+
+
 def _cmd_attractor(args, out):
     spec = _resolve_spec(args.spec)
+    # refuse what could not be written before the sweep, not after it
+    for target in (args.csv, args.png):
+        if target:
+            _refuse_unwritable(target)
     if args.png:
-        image_shape(spec, args.px)  # refuse the image before the sweep
+        image_shape(spec, args.px)
     approx = invariant_list(spec, args.depth)
     out.write(f"computed depth-{approx.depth} approximation: "
               f"{approx.total_points()} points, error bound "

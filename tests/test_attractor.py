@@ -171,27 +171,29 @@ class TestPathsTotal:
 class TestSweepMemory:
     """Peak traced allocation of one invariant_list call, per depth-n path.
 
-    The sweep holds the previous level, one vertex's last level and its dedup
-    temporaries. The last level is sorted in place and scanned one slab of
-    rows at a time, so the only cloud-sized dedup temporary tracemalloc sees
-    is a mask of one byte per row, and the peak is the sweep's own: about 20
-    bytes per path in 1-D and 24 to 30 in 2-D, no more than with no dedup at
-    all. numpy's sort buffer (up to half the sorted array) is not allocated
-    through tracemalloc's hooks and is not counted. At small depths the
-    figure reads higher: two_part_dust reads 32 at depth 16. Sorting by
-    argsort, with a gathered copy and cloud-sized cell keys, took 29 in 1-D
-    and 41 to 42 in 2-D; holding a second copy of the whole last level and
-    np.unique's temporaries took 73 and 72.
+    The sweep holds level n-2 of every vertex, one vertex's last level, one
+    scratch block no larger than the biggest level n-2 block that vertex
+    reaches, and the dedup's mask of one byte per row: each image is written
+    straight into its level, and the last level is sorted in place and
+    scanned one slab of rows at a time. That reads 12 bytes per path in 1-D
+    and 17 to 20 in 2-D. numpy's sort buffer (up to half the sorted array)
+    is not allocated through tracemalloc's hooks and is not counted. At
+    small depths the figure reads higher: two_part_dust reads 28 at depth
+    16. Holding all of level n-1 beside the last level, with each edge's
+    image made as a temporary first, took 20 in 1-D and 24 to 30 in 2-D;
+    sorting by argsort, with a gathered copy and cloud-sized cell keys, 29
+    and 41 to 42; a second copy of the whole last level and np.unique's
+    temporaries, 73 and 72.
     """
 
     @pytest.mark.parametrize("name,depth,bound", [("duplicate_map", 18, 50),
                                                   ("penrose", 12, 60),
                                                   ("two_part_dust", 16, 60),
                                                   # several slabs per vertex
-                                                  ("duplicate_map", 20, 23),
-                                                  ("penrose", 14, 33),
-                                                  ("two_part_dust", 19, 30),
-                                                  ("squares_z2", 9, 27)])
+                                                  ("duplicate_map", 20, 15),
+                                                  ("penrose", 14, 23),
+                                                  ("two_part_dust", 19, 23),
+                                                  ("squares_z2", 9, 22)])
     def test_peak_bytes_per_path(self, name, depth, bound):
         spec = bundled(name)
         tracemalloc.start()

@@ -273,6 +273,26 @@ class TestAttractor:
         assert err.startswith("resource error:") and "grid keys" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--csv", "--png"])
+    @pytest.mark.parametrize("where", ["missing_parent", "file_parent",
+                                       "directory"])
+    def test_unwritable_destination_refused_before_sweep(
+            self, tmp_path, monkeypatch, flag, where):
+        (tmp_path / "file").write_text("")
+        target = {"missing_parent": tmp_path / "missing" / "out",
+                  "file_parent": tmp_path / "file" / "out",
+                  "directory": tmp_path}[where]
+
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(mwlab.cli, "invariant_list", sweep)
+        code, out, err = run_cli("attractor", "penrose", "--depth", "15",
+                                 flag, str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("io error: cannot write ") and str(target) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         pa, pb = tmp_path / "a.png", tmp_path / "b.png"

@@ -16,6 +16,7 @@ from conftest import bundled
 from mwlab import attractor
 from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
     _dedup_sorted, invariant_list, total_paths
+from mwlab.datasets import list_bundled
 from mwlab.geometry import AffineContraction
 from mwlab.graph import Graph
 
@@ -198,6 +199,15 @@ def test_non_contiguous_input():
                                         ("cantor_ifs", 12),
                                         ("binary_ifs", 12)])
 def test_bundled_clouds_match_reference(name, depth):
+    assert_same_clouds(bundled(name), depth)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", list_bundled())
+def test_shallow_bundled_clouds_match_reference(name, depth):
+    # the last level is built from level n-2: here the base points (depth 2,
+    # mapped one row at a time) or a single level, and at depth 1 from the
+    # base points directly
     assert_same_clouds(bundled(name), depth)
 
 
