@@ -186,23 +186,39 @@ class TestSweepMemory:
     temporaries, 73 and 72.
     """
 
+    _peaks = {}
+
+    def _peak_per_path(self, name, depth):
+        key = (name, depth)
+        if key not in self._peaks:
+            spec = bundled(name)
+            tracemalloc.start()
+            try:
+                invariant_list(spec, depth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            self._peaks[key] = peak / total_paths(spec, depth)
+        return self._peaks[key]
+
     @pytest.mark.parametrize("name,depth,bound", [("duplicate_map", 18, 50),
                                                   ("penrose", 12, 60),
                                                   ("two_part_dust", 16, 60),
                                                   # several slabs per vertex
-                                                  ("duplicate_map", 20, 15),
+                                                  ("duplicate_map", 20, 23),
+                                                  ("penrose", 14, 33),
+                                                  ("two_part_dust", 19, 30),
+                                                  ("squares_z2", 9, 27)])
+    def test_peak_bytes_per_path(self, name, depth, bound):
+        assert self._peak_per_path(name, depth) < bound
+
+    # Below what holding all of level n-1 beside the last level reads.
+    @pytest.mark.parametrize("name,depth,bound", [("duplicate_map", 20, 15),
                                                   ("penrose", 14, 23),
                                                   ("two_part_dust", 19, 23),
                                                   ("squares_z2", 9, 22)])
-    def test_peak_bytes_per_path(self, name, depth, bound):
-        spec = bundled(name)
-        tracemalloc.start()
-        try:
-            invariant_list(spec, depth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / total_paths(spec, depth) < bound
+    def test_peak_bytes_per_path_in_place(self, name, depth, bound):
+        assert self._peak_per_path(name, depth) < bound
 
 
 class TestCodingMap:
