@@ -468,8 +468,13 @@ def _apply_into(m, points, out, start):
 
 
 def _apply_along(spec, path, points):
-    """Apply the maps of a path innermost-first, matching the cloud sweep's
-    floating-point evaluation order exactly."""
+    """Apply the maps of a path innermost-first, the order in which the sweep
+    composes them. Several rows are multiplied matrix by matrix, as the sweep
+    maps its levels, so ``cylinder_set`` of a one-edge path on the depth n-1
+    clouds gives rows of the depth-n cloud bit for bit. A single row, as in
+    ``coding_map_prefix``, is multiplied matrix by vector, which rounds
+    differently: for penrose at depth 6, 257 of the 610 prefix points differ
+    from their cloud rows, by at most 4.5e-16 in a coordinate."""
     for eid in reversed(path.edges):
         points = spec.edge_maps[eid].apply(points)
     return points

@@ -4,18 +4,28 @@ abelian groups, and K-groups of a graph algebra from its vertex matrix.
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is involved anywhere in this module.
 
-One elimination routine per normal form (``_smith``, ``_hermite``) serves
-every caller, and builds a unimodular transform only if that caller reads
-it: ``smith_normal_form`` tracks U and V, ``hermite_normal_form`` tracks U,
-``kernel`` tracks V only, and ``cokernel``, ``graph_algebra_ktheory`` and the
-lattice bases behind ``check_exact`` track none. The Smith pivot is the
-first minimal nonzero |entry| of the trailing block in row-major order,
-found as each row's minimum; the column quotients are all read off the pivot
-row before any column step, since a step on column j changes neither column
-k nor another column's pivot-row entry. Both keep the row-major pivot
-sequence of the plain scan-and-step loop, so U, D and V are the same
-whichever caller asks. Row steps start at the pivot column, since every row
-at or below the pivot row is 0 to its left.
+There are two routes, split by what the caller reads.
+
+- Transforms. ``smith_normal_form`` (U, D, V), ``hermite_normal_form``
+  (H, U) and ``kernel`` (a basis read off V) run the minimal-entry
+  eliminations ``_smith`` and ``_hermite``, and build only the transforms
+  they return. The Smith pivot is the first minimal nonzero |entry| of the
+  trailing block in row-major order, found as each row's minimum; the column
+  quotients are all read off the pivot row before any column step, since a
+  step on column j changes neither column k nor another column's pivot-row
+  entry. Both keep the row-major pivot sequence of the plain scan-and-step
+  loop, so U, D and V are the same whichever caller asks. Row steps start at
+  the pivot column, since every row at or below the pivot row is 0 to its
+  left.
+- Canonical answers. Every caller that reads no transform goes through one
+  lattice routine, ``_lattice_rows``: the HNF rows of a column lattice, by
+  extended-gcd insertion, with no transform kept. The lattice tests of
+  ``GroupHom`` and ``check_exact`` read those rows; ``cokernel`` and
+  ``graph_algebra_ktheory`` read the Smith diagonal off them, where every
+  pivot 1 is a factor 1 and ``_smith`` runs only on the rows with larger
+  pivots. HNF rows and Smith diagonals are unique, so both routes give the
+  same answers. ``check_exact`` builds each lattice once per call and takes
+  no Smith form for a kernel that is 0.
 """
 
 from dataclasses import dataclass
@@ -58,15 +68,21 @@ class IntMatrix:
         self._data = rows
 
     @classmethod
-    def zeros(cls, rows, cols):
+    def _of(cls, data, rows, cols):
+        """Wrap ``data``, a tuple of ``rows`` int tuples of length ``cols``,
+        with no coercion or check: for results built from IntMatrix data."""
         m = object.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m._data = tuple((0,) * cols for _ in range(rows))
+        m.rows, m.cols, m._data = rows, cols, data
         return m
 
     @classmethod
+    def zeros(cls, rows, cols):
+        return cls._of(tuple((0,) * cols for _ in range(rows)), rows, cols)
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n))
+                             for i in range(n)), n, n)
 
     @classmethod
     def from_columns(cls, columns, rows=None):
@@ -111,28 +127,32 @@ class IntMatrix:
         return all(x == 0 for r in self._data for x in r)
 
     def transpose(self):
-        return IntMatrix([[self._data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
+        return IntMatrix._of(data, self.cols, self.rows)
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return IntMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self._data, other._data)])
+        return IntMatrix._of(tuple(tuple(a + b for a, b in zip(ra, rb))
+                                   for ra, rb in zip(self._data, other._data)),
+                             self.rows, self.cols)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return IntMatrix([[a - b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self._data, other._data)])
+        return IntMatrix._of(tuple(tuple(a - b for a, b in zip(ra, rb))
+                                   for ra, rb in zip(self._data, other._data)),
+                             self.rows, self.cols)
 
     def __neg__(self):
-        return IntMatrix([[-a for a in r] for r in self._data])
+        return IntMatrix._of(tuple(tuple(-a for a in r) for r in self._data),
+                             self.rows, self.cols)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         bt = other.transpose()._data
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                          for row in self._data])
+        return IntMatrix._of(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
+                  for row in self._data), self.rows, other.cols)
 
     def __pow__(self, n):
         if not self.is_square:
@@ -220,9 +240,10 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _hermite(m, track_u):
-    """Worksheet whose ``a`` is the row-style Hermite normal form of m."""
-    w = _Worksheet(m, track_u=track_u)
+def _hermite(m):
+    """Worksheet whose ``a`` is the row-style Hermite normal form of m and
+    whose ``u`` is the row transform that takes m there."""
+    w = _Worksheet(m, track_u=True)
     pivot_row = 0
     for col in range(w.cols):
         # gcd-reduce the entries at or below pivot_row in this column
@@ -260,7 +281,7 @@ def hermite_normal_form(m):
     echelon form with positive pivots and entries above each pivot reduced
     into ``[0, pivot)``.
     """
-    w = _hermite(m, track_u=True)
+    w = _hermite(m)
     return IntMatrix(w.a), IntMatrix(w.u)
 
 
@@ -334,6 +355,101 @@ def smith_normal_form(m):
     """Smith normal form by elementary operations with minimal-entry pivoting."""
     w = _smith(m, track_u=True, track_v=True)
     return SmithDecomposition(IntMatrix(w.u), IntMatrix(w.a), IntMatrix(w.v))
+
+
+# --- lattices: canonical answers without transforms --------------------------
+
+
+def _xgcd(a, b):
+    """``(g, x, y)`` with ``g = gcd(a, b) = x * a + y * b`` and ``g > 0``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _reduce_right(row, j, pivots):
+    """Reduce ``row`` (0 before column j) into [0, pivot) at every pivot
+    column after j, left to right: a step at column k changes no column
+    before k."""
+    for k in range(j + 1, len(row)):
+        p = pivots[k]
+        if p is not None and row[k]:
+            q = row[k] // p[k]
+            if q:
+                row[k:] = [x - q * y for x, y in zip(row[k:], p[k:])]
+
+
+def _lattice_rows(m):
+    """Canonical basis of the lattice spanned by the columns of m: the
+    nonzero rows of the row-style Hermite normal form of m^t.
+
+    Each column is inserted into rows kept by pivot column. Where a stored
+    row already holds that pivot column, an extended-gcd step on the two
+    leaves the gcd in the stored row and 0 in the incoming one, which then
+    goes on to its next nonzero column. A row is stored reduced modulo the
+    pivots to its right, which keeps the entries from growing. Once every
+    column holds a pivot 1 the lattice is all of Z^n and the remaining
+    columns are not read. A last pass, from the rightmost pivot leftwards,
+    reduces the entries above each pivot into [0, pivot).
+    """
+    n = m.rows
+    pivots = [None] * n
+    units = 0
+    for column in zip(*m._data):
+        v = list(column)
+        j = next((k for k in range(n) if v[k]), n)
+        while j < n:
+            r = pivots[j]
+            if r is None:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                _reduce_right(v, j, pivots)
+                pivots[j] = v
+                units += v[j] == 1
+                break
+            a, b = r[j], v[j]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                a, b = a // g, b // g
+                tail = list(zip(r[j:], v[j:]))
+                r[j:] = [x * s + y * t for s, t in tail]
+                v[j:] = [a * t - b * s for s, t in tail]
+                _reduce_right(r, j, pivots)
+                units += g == 1
+            else:
+                q = b // a
+                v[j:] = [t - q * s for s, t in zip(r[j:], v[j:])]
+            j = next((k for k in range(j + 1, n) if v[k]), n)
+        if units == n:
+            return [tuple(1 if i == k else 0 for i in range(n))
+                    for k in range(n)]
+    for j in reversed(range(n)):
+        if pivots[j] is not None:
+            _reduce_right(pivots[j], j, pivots)
+    return [tuple(r) for r in pivots if r is not None]
+
+
+def _invariant_factors(m):
+    """The Smith diagonal of m, of length min(rows, cols), read off the HNF
+    rows of its column lattice. A pivot 1 is the only nonzero entry of its
+    column, so column steps clear the rest of its row and it splits off as a
+    factor 1; ``_smith`` runs only on the rows with pivots above 1, without
+    the unit pivots' columns. Zeros, one per missing rank, come last."""
+    rows = _lattice_rows(m)
+    lead = [next(j for j, x in enumerate(r) if x) for r in rows]
+    units = {j for r, j in zip(rows, lead) if r[j] == 1}
+    block = tuple(tuple(x for k, x in enumerate(r) if k not in units)
+                  for r, j in zip(rows, lead) if r[j] != 1)
+    factors = (1,) * len(units)
+    if block:
+        w = _smith(IntMatrix._of(block, len(block), m.rows - len(units)),
+                   track_u=False, track_v=False)
+        factors += _diagonal(w)
+    return factors + (0,) * (min(m.rows, m.cols) - len(rows))
 
 
 @dataclass(frozen=True)
@@ -414,7 +530,7 @@ def kernel(m):
 
 def cokernel(m):
     """Cokernel Z^rows / column-span(m) in invariant-factor form."""
-    diag = _diagonal(_smith(m, track_u=False, track_v=False))
+    diag = _invariant_factors(m)
     return FgAbelianGroup.from_invariant_factors(
         diag, extra_free=m.rows - len(diag))
 
@@ -424,13 +540,15 @@ class GraphKTheory:
     K0: FgAbelianGroup
     K1: FgAbelianGroup
     invariant_factors: tuple
+    one_minus_transpose: IntMatrix
 
 
 def graph_algebra_ktheory(vertex_matrix):
     """K-groups of the graph algebra: K1 = ker(1 - A^t), K0 = coker(1 - A^t).
 
-    Both come from one Smith form of the square matrix 1 - A^t: its zero
-    diagonal entries come last, one per free generator of the kernel.
+    Both come from the Smith diagonal of the square matrix 1 - A^t, read
+    off the HNF of its column lattice: its zeros come last, one per free
+    generator of the kernel.
 
     The graph must have no sinks (zero rows of A), since with a sink
     coker(1 - A^t) is not K0; a sink raises ValueError. Sources are allowed.
@@ -445,10 +563,10 @@ def graph_algebra_ktheory(vertex_matrix):
                          "matrix; coker(1 - A^t) is not K0")
     n = vertex_matrix.rows
     delta = IntMatrix.identity(n) - vertex_matrix.transpose()
-    diag = _diagonal(_smith(delta, track_u=False, track_v=False))
+    diag = _invariant_factors(delta)
     return GraphKTheory(K0=FgAbelianGroup.from_invariant_factors(diag),
                         K1=FgAbelianGroup(sum(1 for d in diag if d == 0)),
-                        invariant_factors=diag)
+                        invariant_factors=diag, one_minus_transpose=delta)
 
 
 # --- presentations, homomorphisms, exactness ---------------------------------
@@ -474,16 +592,11 @@ class Presentation:
         return cls.free(0)
 
 
-def _lattice_rows(m):
-    """Canonical basis (as HNF rows) of the lattice spanned by the columns of m."""
-    return [tuple(row) for row in _hermite(m.transpose(), track_u=False).a
-            if any(row)]
-
-
 def _hstack(a, b):
     if a.rows != b.rows:
         raise ValueError("row mismatch in hstack")
-    return IntMatrix([ra + rb for ra, rb in zip(a._data, b._data)])
+    return IntMatrix._of(tuple(ra + rb for ra, rb in zip(a._data, b._data)),
+                         a.rows, a.cols + b.cols)
 
 
 @dataclass(frozen=True)
@@ -519,13 +632,17 @@ class ExactnessResult:
     failure_at: int | None = None
 
 
-def _kernel_lattice_columns(hom):
-    """Columns spanning {x in Z^b : hom.matrix @ x lies in codomain relations}."""
+def _kernel_lattice_columns(hom, lattice):
+    """Columns spanning {x in Z^b : hom.matrix @ x lies in codomain relations}.
+
+    That is the first b coordinates of ker [g | -R]. When the columns of
+    [g | -R] are independent (as many HNF rows as columns) the kernel is 0,
+    and no Smith form is taken."""
     g = hom.matrix
-    rc = hom.codomain.relations
-    if rc.cols == 0:
-        return kernel(g)[1]
-    basis = kernel(_hstack(g, -rc))[1]
+    stacked = _hstack(g, -hom.codomain.relations)
+    if len(lattice(stacked)) == stacked.cols:
+        return IntMatrix.zeros(g.cols, 0)
+    basis = kernel(stacked)[1]
     cols = [basis.column(j)[:g.cols] for j in range(basis.cols)]
     cols = [c for c in cols if any(c)]
     return IntMatrix.from_columns(cols, rows=g.cols)
@@ -547,14 +664,22 @@ def check_exact(sequence, cyclic=False):
     if cyclic and sequence[-1].codomain != sequence[0].domain:
         raise PreconditionError("cyclic sequence does not close up")
 
+    # each distinct generator matrix gets its HNF once per call
+    lattices = {}
+
+    def lattice(m):
+        rows = lattices.get(m)
+        if rows is None:
+            rows = lattices[m] = _lattice_rows(m)
+        return rows
+
     pairs = [(sequence[i], sequence[i + 1], i + 1) for i in range(n - 1)]
     if cyclic:
         pairs.append((sequence[-1], sequence[0], 0))
     for incoming, outgoing, node in pairs:
-        pres = incoming.codomain
-        image = _hstack(incoming.matrix, pres.relations)
-        kernel_cols = _kernel_lattice_columns(outgoing)
-        kernel_full = _hstack(kernel_cols, pres.relations)
-        if _lattice_rows(image) != _lattice_rows(kernel_full):
+        relations = incoming.codomain.relations
+        image = lattice(_hstack(incoming.matrix, relations))
+        kernel_cols = _kernel_lattice_columns(outgoing, lattice)
+        if image != lattice(_hstack(kernel_cols, relations)):
             return ExactnessResult(False, failure_at=node)
     return ExactnessResult(True)

@@ -16,7 +16,7 @@ from .attractor import invariance_residual, invariant_list
 from .conditions import branch_points, graph_separation, open_set_condition, \
     simplicity_report
 from .graph import vertex_matrix
-from .ktheory import IntMatrix, graph_algebra_ktheory
+from .ktheory import graph_algebra_ktheory
 
 __all__ = [
     "AnalysisReport",
@@ -52,11 +52,10 @@ def _labeled_point_dict(point):
 
 def ktheory_summary(matrix, reference=None):
     """K-groups of the graph algebra plus the intermediate exact data."""
-    delta = IntMatrix.identity(matrix.rows) - matrix.transpose()
     kt = graph_algebra_ktheory(matrix)
     out = {
         "vertex_matrix": matrix.to_lists(),
-        "one_minus_transpose": delta.to_lists(),
+        "one_minus_transpose": kt.one_minus_transpose.to_lists(),
         "invariant_factors": list(kt.invariant_factors),
         "K0": _group_dict(kt.K0),
         "K1": _group_dict(kt.K1),

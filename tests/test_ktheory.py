@@ -71,6 +71,13 @@ class TestIntMatrix:
         assert (a ** 3) == a @ a @ a
         assert a.transpose().transpose() == a
 
+    def test_results_keep_empty_shapes(self):
+        empty = IntMatrix.zeros(3, 0)
+        assert empty.transpose().shape == (0, 3)
+        assert (-empty.transpose()).shape == (0, 3)
+        assert (empty.transpose() @ IntMatrix.zeros(3, 2)).shape == (0, 2)
+        assert (empty + empty).shape == (3, 0)
+
     def test_power_matches_repeated_product(self):
         rng = random.Random(7)
         for _ in range(20):
