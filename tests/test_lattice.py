@@ -129,14 +129,16 @@ def _presentation(rng, generators, forced=None):
 def random_chain(rng):
     """A composable chain of 1..4 well-defined homs between presented groups
     of 0..3 generators: each codomain's relations contain the images of the
-    domain's relations."""
+    domain's relations. A group with no generators has 0 or 1 relation
+    columns, each of length 0."""
     domain = _presentation(rng, rng.randint(0, 3))
     homs = []
     for _ in range(rng.randint(1, 4)):
         b = rng.randint(0, 3)
         matrix = _random_matrix(rng, b, domain.generators)
         images = matrix @ domain.relations
-        codomain = _presentation(rng, b, images) if b else Presentation.trivial()
+        codomain = _presentation(rng, b, images) if b else \
+            Presentation(0, IntMatrix.zeros(0, rng.randint(0, 1)))
         homs.append(GroupHom(domain, codomain, matrix))
         domain = codomain
     return homs
@@ -165,6 +167,17 @@ def test_check_exact_matches_reference_on_random_chains(seed):
         assert check_exact(cycle, cyclic=True) == \
             ref_check_exact(cycle, cyclic=True)
     assert outcomes[True] and outcomes[False]
+
+
+def test_check_exact_onto_a_group_with_no_generators():
+    """Z -> Z -> (no generators, one relation column of length 0): the second
+    hom has all of Z as its kernel, so the chain is exact at the middle Z.
+    Building [g | -R] must keep its columns when it has no rows."""
+    z = Presentation.free(1)
+    nothing = Presentation(0, IntMatrix.zeros(0, 1))
+    chain = [GroupHom(z, z, IntMatrix([[1]])),
+             GroupHom(z, nothing, IntMatrix.zeros(0, 1))]
+    assert check_exact(chain) == ref_check_exact(chain) == ExactnessResult(True)
 
 
 def laplacian_chain(a):
