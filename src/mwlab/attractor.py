@@ -1,10 +1,17 @@
 """Invariant-set computation with certified error bounds.
 
-The invariant list (K_v) of a system is approximated by the path method: every
-length-n composable edge sequence w starting at v contributes the point
-phi_w(base(r(w))), where base(u) is the center of the seed box at u. Each
-cloud then lies within diam * c^n of the true K_v, where diam is the largest
-seed-box diagonal and c the system-wide upper contraction bound.
+The invariant list (K_v) is approximated on a Moran cut set. Let eps be the
+largest product of the edges' c_upper over the depth-n paths (c^n when every
+edge has the same bound). A word w from v is cut at its first prefix whose
+product is at most eps, and contributes the point phi_w(base(r(w))), where
+base(u) is the center of the seed box at u. The cut cylinders
+phi_w(K_r(w)) cover K_v, each of diameter at most eps * diam <= c^n * diam,
+where diam is the largest seed-box diagonal and c the system-wide upper
+contraction bound; so each cloud lies within diam * c^n of the true K_v.
+Each cut is decided exactly: a product is compared with eps by logarithms
+only where rounding cannot change the answer, and in integers otherwise.
+When every edge has the same bound the cut set is exactly the depth-n
+paths.
 
 Deduplication snaps points to a grid 1/1024 of that bound wide and keeps
 the lexicographically smallest point per cell, so results are independent of
@@ -12,19 +19,24 @@ evaluation order; the grid diagonal is folded into the reported certificate.
 Depths whose grid cell is too fine for float64 to resolve over the seed boxes
 are refused with a ResolutionError before any point is computed.
 
-The sweep keeps one array per vertex and level, each image written straight
-into it, and stops at level n-2. Each vertex's last level is built from level
-n-2 two edges at a time, through one scratch block, and deduplicated at once,
-so at its peak the sweep holds level n-2, one vertex's last level, the
-scratch block and that vertex's dedup temporaries. The budget check's exact
-path count travels on the result as paths_total, and the invariance residual
+The sweep builds words inside out, the new letter outermost, and holds each
+level's rows per vertex in blocks of one class (_CutClasses): rows whose
+extensions meet the same cut decisions. Each image is written straight into
+its level, one matmul per run of blocks an edge maps. A level whose rows are
+all extended into cut words, and are none themselves, is not built: the
+next level maps it run by run through one scratch block. Where the cut set
+is the depth-n paths, the blocks are the per-vertex levels, level n-1 is the
+one not built, and at its peak the sweep holds level n-2, one vertex's last
+level, the scratch block and that vertex's dedup temporaries. The budget
+still counts the depth-n paths, an upper bound on the cut set; that exact
+count travels on the result as paths_total, and the invariance residual
 builds its unions with the sweep's level builder.
 
-The dedup sorts the last level in place, each 2-D row read as one complex
-number, then finds the first point of each grid cell one slab of rows at a
-time, and copies the level only when it drops a point. Its only cloud-sized
-temporaries are numpy's sort buffer and a mask of one byte per row;
-_dedup_sorted sets out how.
+The dedup sorts a vertex's cut rows in place, each 2-D row read as one
+complex number, then finds the first point of each grid cell one slab of
+rows at a time, and copies the rows only when it drops a point. Its only
+cloud-sized temporaries are numpy's sort buffer and a mask of one byte per
+row; _dedup_sorted sets out how.
 """
 
 import math
@@ -205,8 +217,11 @@ class VertexCloud:
 
 @dataclass(eq=False)
 class InvariantListApprox:
-    """Per-vertex clouds at a common depth with one shared error certificate;
-    paths_total is the exact number of depth-n paths the clouds came from."""
+    """Per-vertex clouds at a common depth with one shared error certificate.
+
+    The clouds come from the depth's cut set; paths_total is the exact number
+    of depth-n paths (the row sums of A^n), which the point budget is checked
+    against and which bounds the cut set from above."""
 
     clouds: dict
     depth: int
@@ -351,12 +366,14 @@ def _certificate(spec, depth):
 
 
 def invariant_list(spec, depth):
-    """Approximate the invariant list at the given depth.
+    """Approximate the invariant list at the given depth, on the cut set at
+    eps, the largest product over the depth-n paths.
 
-    The reported error bound covers both the path truncation (diam * c^n) and
-    the deduplication grid, so every cloud is within error_bound of its true
-    component in Hausdorff distance. The budget check counts the paths
-    exactly (needed <= budget < cap), and the result carries that count.
+    The reported error bound covers both the truncation (diam * c^n, at
+    least diam * eps) and the deduplication grid, so every cloud is within
+    error_bound of its true component in Hausdorff distance. The budget
+    check counts the depth-n paths exactly (needed <= budget < cap), an
+    upper bound on the cut set, and the result carries that count.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -385,75 +402,291 @@ def invariant_list(spec, depth):
             f"grid keys can resolve over coordinates up to {extent!r}; lower "
             f"the depth")
 
-    vertices = spec.graph.vertices
-    maps = {v: _out_maps(spec, v) for v in vertices}
-    pts = {v: spec.base_point(v)[None, :] for v in vertices}
-    # the levels stop at n-2, and each last level is built from there
-    for _ in range(depth - 2):
-        pts = {v: _next_level(pts, maps[v], spec.dimension) for v in vertices}
-    clouds = {v: VertexCloud(vertex=v, points=_dedup_sorted(
-                  _next_level(pts, maps[v], spec.dimension) if depth == 1
-                  else _last_level(pts, maps, v, spec.dimension), cell))
-              for v in vertices}
-    return InvariantListApprox(clouds=clouds, depth=depth,
-                               error_bound=error_bound, paths_total=needed)
+    return InvariantListApprox(clouds=_cut_set_clouds(spec, depth, cell),
+                               depth=depth, error_bound=error_bound,
+                               paths_total=needed)
 
 
 def _out_maps(spec, vertex):
-    """(map, range vertex) of each out-edge of a vertex, in edge order."""
-    return [(spec.edge_maps[e.id], e.range) for e in spec.graph.out_edges(vertex)]
+    """(map, edge id, range vertex) of each out-edge of a vertex, in edge
+    order."""
+    return [(spec.edge_maps[e.id], e.id, e.range)
+            for e in spec.graph.out_edges(vertex)]
 
 
-def _next_level(pts, maps, dimension):
-    """One vertex's points one level deeper: the image of each range vertex's
-    points under each of its out-edge maps, in edge order, in one array."""
-    level = np.empty((_rows(pts, maps), dimension))
-    _images_into(pts, maps, level)
-    return level
+_DROP = -1  # the class of a row no extension of which is a cut word
 
 
-def _last_level(pts, maps, vertex, dimension):
-    """One vertex's points two levels deeper, without the level between.
+class _CutClasses:
+    """The class table of one cut-set sweep, built as the sweep asks for
+    classes.
 
-    For each out-edge e of the vertex, each run of _runs out of its range
-    goes into one scratch block and phi_e of that block into the level: the
-    rows two _next_level calls give, in the same order, from the same float
-    operations. The scratch block is sized to the largest run.
+    eps is the largest product of the edges' c_upper over the depth-n paths.
+    A row at vertex v stands for a word w = P.i, where i is the innermost
+    letter (the map applied first) and P the rest. Its state is (v, the
+    number of letters of P of each distinct bound, the bound of i). The word
+    is a cut word when prod(P) > eps >= prod(P) * c_i. For each edge e into
+    v the sweep makes the row e.w at the source of e; once prod(e.P) <= eps
+    no extension of e.w is a cut word, and that row is dropped. Two states
+    are of one class when they meet the same decisions: whether they are cut
+    words, and the class of each extension. So each class is one row block
+    of the sweep, and a system whose cut words all have length n has one
+    class per vertex and level.
+
+    A product is compared with eps by its logarithm where the two differ by
+    more than the logarithms' rounding can, and otherwise exactly, in
+    integers: each bound is a / 2**k with integer a and k.
     """
-    runs = [(e, run) for e, q in maps[vertex] for run in _runs(pts, maps[q])]
-    level = np.empty((sum(_rows(pts, run) for _, run in runs), dimension))
-    scratch = np.empty((max(_rows(pts, run) for _, run in runs), dimension))
+
+    def __init__(self, spec, depth):
+        bounds = sorted({m.c_upper for m in spec.edge_maps.values()})
+        slot = {x: i for i, x in enumerate(bounds)}
+        self._exact = [(a, b.bit_length() - 1)
+                       for a, b in (x.as_integer_ratio() for x in bounds)]
+        self._logs = [math.log(x) if x else -math.inf for x in bounds]
+        self.into = {v: [(e.id, e.source, slot[spec.edge_maps[e.id].c_upper])
+                         for e in spec.graph.in_edges(v)]
+                     for v in spec.graph.vertices}
+        self._eps = self._largest_product(depth)
+        a, k = self._eps
+        self._log_eps = math.log(a) - k * math.log(2) if a else -math.inf
+        # each logarithm is rounded once and each sum of up to n of them once
+        # per term: far less than this on any product near eps
+        self._slack = 2.0 ** -40 * (depth + 1) * (1 + abs(self._log_eps))
+        self._none = (0,) * len(bounds)
+        self.emits = []     # per class: its rows are cut words
+        self.child = []     # per class: {edge id: class of the extension}
+        self.extends = []   # per class: some extension is not dropped
+        self.defers = []    # per class: no cut word, every extension is
+        self._ids = {}
+        self._of_state = {}
+
+    def _largest_product(self, depth):
+        """The largest product over the depth-n paths, as (a, k) with value
+        a / 2**k: a max-times power of the bounds, one letter per step."""
+        best = dict.fromkeys(self.into, (1, 0))
+        for _ in range(depth):
+            step = {}
+            for v, edges in self.into.items():
+                a, k = best[v]
+                for _, source, i in edges:
+                    na, nk = self._exact[i]
+                    x = a * na, k + nk
+                    old = step.get(source)
+                    if old is None or old[0] << x[1] < x[0] << old[1]:
+                        step[source] = x
+            best = step
+        top = (0, 0)
+        for x in best.values():
+            if top[0] << x[1] < x[0] << top[1]:
+                top = x
+        return top
+
+    def _at_most_eps(self, counts, log, extra=None):
+        """Whether the product of counts[i] letters of bound i, one more of
+        bound `extra` if given, is at most eps; log is its logarithm."""
+        gap = log - self._log_eps
+        if gap < -self._slack:
+            return True
+        if gap > self._slack:
+            return False
+        a, k = 1, 0
+        for i, c in enumerate(counts):
+            c += i == extra
+            if c:
+                na, nk = self._exact[i]
+                a, k = a * na ** c, k + nk * c
+        ea, ek = self._eps
+        return a << ek <= ea << k
+
+    def base(self, vertex):
+        """The class of a vertex's base point: its extension along an edge e
+        is the one-letter word e."""
+        return self._add(None, False, {
+            eid: self._classify((source, self._none, i))
+            for eid, source, i in self.into[vertex]})
+
+    def _add(self, key, emits, child):
+        if key in self._ids:
+            return self._ids[key]
+        k = len(self.emits)
+        if key is not None:
+            self._ids[key] = k
+        self.emits.append(emits)
+        self.child.append(child)
+        self.extends.append(any(c != _DROP for c in child.values()))
+        self.defers.append(not emits and all(
+            c != _DROP and self.emits[c] and not self.extends[c]
+            for c in child.values()))
+        return k
+
+    def _classify(self, state):
+        """The class of a state, with those of all its extensions: a
+        depth-first walk kept on a stack of its own, since a chain of
+        extensions is up to n long. Each entry carries log prod(P)."""
+        known, into, logs = self._of_state, self.into, self._logs
+        stack = [(state, 0.0, None)]
+        while stack:
+            s, log, kids = stack.pop()
+            if s in known:
+                continue
+            v, counts, t = s
+            if kids is None:
+                # each extension e.w, or None once prod(e.P) <= eps
+                kids = []
+                for eid, source, i in into[v]:
+                    more = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
+                    kids.append((eid, None if self._at_most_eps(
+                        more, log + logs[i]) else (source, more, t),
+                        log + logs[i]))
+                stack.append((s, log, kids))
+                stack.extend((c, x, None) for _, c, x in kids
+                             if c is not None and c not in known)
+                continue
+            child = {eid: _DROP if c is None else known[c]
+                     for eid, c, _ in kids}
+            emits = self._at_most_eps(counts, log + logs[t], extra=t)
+            known[s] = self._add((v, emits, tuple(child.values())), emits,
+                                 child)
+        return known[state]
+
+
+def _cut_set_clouds(spec, depth, cell):
+    """Deduplicated clouds of the cut set at depth n, one per vertex.
+
+    Level j holds, per vertex, the rows of the j-letter words some extension
+    of which may be a cut word, in blocks of one class: (class, start, stop)
+    row ranges. The next level maps, for each edge e out of a vertex, the
+    runs of blocks of the range vertex that e does not drop, one matmul per
+    run. A level whose blocks are no cut words and extend only into cut
+    words is not built: the next level maps it run by run through a scratch
+    block. A vertex's cut rows are collected from each level they come up
+    at, and deduplicated once no block extends.
+    """
+    classes = _CutClasses(spec, depth)
+    vertices = spec.graph.vertices
+    out = {v: _out_maps(spec, v) for v in vertices}
+    points = {v: spec.base_point(v)[None, :] for v in vertices}
+    blocks = {v: [(classes.base(v), 0, 1)] for v in vertices}
+    cut_rows = {v: [] for v in vertices}
+    clouds = {}
+    while True:
+        plans = {v: _plan(blocks, out[v], classes) for v in vertices}
+        last = not any(classes.extends[k] for plan, _ in plans.values()
+                       for k, _, _ in plan)
+        built, blocks = {}, {}
+        for v in vertices:
+            plan, runs = plans[v]
+            blocks[v] = []
+            steps = [(m, points[q] if isinstance(points[q], list)
+                      else points[q][a:b]) for m, q, a, b in runs]
+            if not last and plan and all(classes.defers[k] for k, _, _ in plan):
+                built[v], blocks[v] = steps, plan
+                continue
+            level = _level(steps, spec.dimension)
+            extends = any(classes.extends[k] for k, _, _ in plan)
+            cut = [(a, b) for k, a, b in plan if classes.emits[k]]
+            if cut and len(cut) == len(plan) and not extends:
+                cut_rows[v].append(level)
+            elif cut:
+                cut_rows[v].append(np.concatenate([level[a:b] for a, b in cut]))
+            if last:
+                rows = cut_rows.pop(v)
+                clouds[v] = VertexCloud(vertex=v, points=_dedup_sorted(
+                    rows[0] if len(rows) == 1 else np.concatenate(rows), cell))
+            elif extends:
+                built[v], blocks[v] = _grouped(level, plan)
+        if last:
+            return clouds
+        points = built
+
+
+def _plan(blocks, out, classes):
+    """One vertex's next level, worked out before any point is mapped: its
+    blocks (class, start, stop), neighbours of one class joined, and the runs
+    (map, range vertex, start, stop) of range-vertex rows it maps, in order."""
+    plan, runs = [], []
+    row = 0
+    for m, eid, q in out:
+        first = len(runs)
+        for k, a, b in blocks[q]:
+            k = classes.child[k][eid]
+            if k == _DROP:
+                continue
+            if len(runs) > first and runs[-1][3] == a:
+                runs[-1] = (m, q, runs[-1][2], b)
+            else:
+                runs.append((m, q, a, b))
+            if plan and plan[-1][0] == k:
+                plan[-1] = (k, plan[-1][1], row + b - a)
+            else:
+                plan.append((k, row, row + b - a))
+            row += b - a
+    return plan, runs
+
+
+def _grouped(level, plan):
+    """The level with the blocks of each class made one, in order of first
+    appearance; the level itself when they already are."""
+    starts = {}
+    for k, a, b in plan:
+        starts.setdefault(k, []).append((a, b))
+    if len(starts) == len(plan):
+        return level, plan
+    grouped, row = [], 0
+    for k, spans in starts.items():
+        size = sum(b - a for a, b in spans)
+        grouped.append((k, row, row + size))
+        row += size
+    return np.concatenate([level[a:b] for spans in starts.values()
+                           for a, b in spans]), grouped
+
+
+def _level(steps, dimension):
+    """One vertex's level: the image of each (map, points) step in order, in
+    one array. The points of a step may be a level that was not built,
+    given as its own steps: that level is mapped run by run (see _runs)
+    through one scratch block sized to the largest run, with the rows and
+    float operations building it first would give."""
+    runs = [(m, run) for m, points in steps for run in
+            (_runs(points) if isinstance(points, list) else [points])]
+    sizes = [_rows(run) if isinstance(run, list) else len(run)
+             for _, run in runs]
+    level = np.empty((sum(sizes), dimension))
+    deferred = [size for (_, run), size in zip(runs, sizes)
+                if isinstance(run, list)]
+    scratch = np.empty((max(deferred), dimension)) if deferred else None
     start = 0
-    for e, run in runs:
-        image = scratch[:_images_into(pts, run, scratch)]
-        start = _apply_into(e, image, level, start)
+    for m, run in runs:
+        if isinstance(run, list):
+            run = scratch[:_images_into(run, scratch)]
+        start = _apply_into(m, run, level, start)
     return level
 
 
-def _runs(pts, maps):
-    """The out-edges (map, range vertex) of one vertex, grouped into the runs
-    whose images _last_level maps on at once: each edge on its own, unless
-    the points of one range vertex are a single row. numpy maps one row by a
-    matrix-vector product and several by a matrix-matrix product, which
-    round differently, so such a level is then mapped whole, as phi_e maps
-    the level _next_level makes.
+def _runs(steps):
+    """The steps of a level that was not built, grouped into the runs that
+    _level maps on at once: each step on its own, unless one has a single
+    row. numpy maps one row by a matrix-vector product and several by a
+    matrix-matrix product, which round differently, so such a level is then
+    mapped whole, as a map applied to the built level would map it.
     """
-    if any(len(pts[r]) == 1 for _, r in maps):
-        return [maps]
-    return [[step] for step in maps]
+    if any(len(points) == 1 for _, points in steps):
+        return [steps]
+    return [[step] for step in steps]
 
 
-def _rows(pts, maps):
-    """Rows of the images of the points under (map, range vertex) pairs."""
-    return sum(len(pts[r]) for _, r in maps)
+def _rows(steps):
+    """Rows of the images of the points of (map, points) steps."""
+    return sum(len(points) for _, points in steps)
 
 
-def _images_into(pts, maps, out):
-    """Write the image of each range vertex's points under its map into out,
+def _images_into(steps, out):
+    """Write the image of the points of each (map, points) step into out,
     one after another from its first row; return the rows written."""
     start = 0
-    for m, r in maps:
-        start = _apply_into(m, pts[r], out, start)
+    for m, points in steps:
+        start = _apply_into(m, points, out, start)
     return start
 
 
@@ -470,8 +703,9 @@ def _apply_into(m, points, out, start):
 def _apply_along(spec, path, points):
     """Apply the maps of a path innermost-first, the order in which the sweep
     composes them. Several rows are multiplied matrix by matrix, as the sweep
-    maps its levels, so ``cylinder_set`` of a one-edge path on the depth n-1
-    clouds gives rows of the depth-n cloud bit for bit. A single row, as in
+    maps its levels, so on a system of one ratio ``cylinder_set`` of a
+    one-edge path on the depth n-1 clouds gives rows of the depth-n cloud
+    bit for bit. A single row, as in
     ``coding_map_prefix``, is multiplied matrix by vector, which rounds
     differently: for penrose at depth 6, 257 of the 610 prefix points differ
     from their cloud rows, by at most 4.5e-16 in a coordinate."""
@@ -509,16 +743,18 @@ def invariance_residual(spec, approx):
     """Per-vertex Hausdorff distance between each cloud and the union of its
     one-step refinements; small residuals certify the invariance equation."""
     pts = {v: approx.cloud(v).points for v in spec.graph.vertices}
-    return {v: hausdorff_distance(
-                pts[v], _next_level(pts, _out_maps(spec, v), spec.dimension))
+    return {v: hausdorff_distance(pts[v], _level(
+                [(m, pts[r]) for m, _, r in _out_maps(spec, v)], spec.dimension))
             for v in spec.graph.vertices}
 
 
 def write_point_cloud_csv(spec, approx, path):
     """Write the clouds as CSV, one point per row, lexicographically sorted.
 
-    A leading comment line records the exact pre-deduplication path count so
-    the row count remains auditable.
+    A leading comment line records the exact depth-n path count (paths=),
+    the points written, and their difference (deduplicated=): the cut words
+    merged by the dedup, and on a system of mixed ratios also the paths the
+    cut set does not need.
     """
     points_total = approx.total_points()
     header = "vertex," + ",".join(["x", "y"][:spec.dimension])

@@ -170,8 +170,9 @@ def branch_points(spec, approx, tol):
     """Detect branch points over the sampled clouds, with exact affine witnesses.
 
     The reported minimum cograph gap is exact zero whenever some pair has a
-    certified coincidence inside the invariant set; otherwise it is the
-    sampled minimum (a resolution-limited estimate).
+    certified witness: a point of the float coincidence set within the error
+    bound plus tol of a cloud point, which need not lie in the invariant
+    set. Otherwise it is the sampled minimum (a resolution-limited estimate).
     """
     _check_tol(tol)
     sufficient = approx.error_bound < tol / 4.0

@@ -91,6 +91,8 @@ class IntMatrix:
             rows = len(cols[0])
         elif rows is None:
             rows = 0
+        if not rows:
+            return cls.zeros(0, len(cols))
         return cls([[c[i] for c in cols] for i in range(rows)])
 
     @classmethod
@@ -185,6 +187,12 @@ class IntMatrix:
     def _check_same_shape(self, other):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def _sheet_matrix(rows, height, width):
+    """An IntMatrix of a worksheet's rows, of the given shape even when it
+    has no rows."""
+    return IntMatrix._of(tuple(map(tuple, rows)), height, width)
 
 
 class _Worksheet:
@@ -282,7 +290,8 @@ def hermite_normal_form(m):
     into ``[0, pivot)``.
     """
     w = _hermite(m)
-    return IntMatrix(w.a), IntMatrix(w.u)
+    return (_sheet_matrix(w.a, w.rows, w.cols),
+            _sheet_matrix(w.u, w.rows, w.rows))
 
 
 @dataclass(frozen=True)
@@ -354,7 +363,9 @@ def _diagonal(w):
 def smith_normal_form(m):
     """Smith normal form by elementary operations with minimal-entry pivoting."""
     w = _smith(m, track_u=True, track_v=True)
-    return SmithDecomposition(IntMatrix(w.u), IntMatrix(w.a), IntMatrix(w.v))
+    return SmithDecomposition(_sheet_matrix(w.u, w.rows, w.rows),
+                              _sheet_matrix(w.a, w.rows, w.cols),
+                              _sheet_matrix(w.v, w.cols, w.cols))
 
 
 # --- lattices: canonical answers without transforms --------------------------

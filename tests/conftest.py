@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -5,6 +8,7 @@ from scipy.spatial import cKDTree
 import mwlab.geometry
 from mwlab.attractor import invariant_list
 from mwlab.datasets import load_bundled
+from mwlab.graph import paths_from
 
 _SPEC_CACHE = {}
 _APPROX_CACHE = {}
@@ -58,3 +62,27 @@ def tree_builds(monkeypatch):
 
     monkeypatch.setattr(mwlab.geometry, "cKDTree", counted)
     return builds
+
+
+def cut_words(spec, depth):
+    """The cut set of each vertex at depth n, by brute force in Fraction.
+
+    eps is the largest product of the edges' c_upper over all depth-n paths,
+    found by listing them; a word from the vertex stops at its first prefix
+    whose product is at most eps. Words are tuples of edge ids, outermost
+    (first applied last) first.
+    """
+    g = spec.graph
+    norm = {e.id: Fraction(spec.edge_maps[e.id].c_upper) for e in g.edges}
+    eps = max(math.prod(norm[e] for e in p.edges)
+              for v in g.vertices for p in paths_from(g, v, depth))
+
+    def words(at, prefix, product):
+        for e in g.out_edges(at):
+            word, x = prefix + (e.id,), product * norm[e.id]
+            if x <= eps:
+                yield word
+            else:
+                yield from words(e.range, word, x)
+
+    return {v: list(words(v, (), Fraction(1))) for v in g.vertices}

@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 import mwlab.attractor
-from conftest import approx_for, bundled, two_tree_hausdorff
+from conftest import approx_for, bundled, cut_words, two_tree_hausdorff
 from mwlab.attractor import (
     MWGraphSpec,
     SeedBox,
@@ -162,8 +162,8 @@ class TestPathsTotal:
                            edge_maps={"e1": affine1(0.9, 0.0),
                                       "e2": affine1(0.9, 0.1)})
         monkeypatch.setenv("MWLAB_POINT_BUDGET", str(2 ** 62))
-        monkeypatch.setattr(mwlab.attractor, "_next_level",
-                            lambda pts, maps, dimension: np.zeros((1, dimension)))
+        monkeypatch.setattr(mwlab.attractor, "_level",
+                            lambda steps, dimension: np.zeros((1, dimension)))
         approx = invariant_list(spec, 62)
         assert approx.paths_total == total_paths(spec, 62) == 2 ** 62
 
@@ -176,14 +176,19 @@ class TestSweepMemory:
     reaches, and the dedup's mask of one byte per row: each image is written
     straight into its level, and the last level is sorted in place and
     scanned one slab of rows at a time. That reads 12 bytes per path in 1-D
-    and 17 to 20 in 2-D. numpy's sort buffer (up to half the sorted array)
-    is not allocated through tracemalloc's hooks and is not counted. At
-    small depths the figure reads higher: two_part_dust reads 28 at depth
-    16. Holding all of level n-1 beside the last level, with each edge's
-    image made as a temporary first, took 20 in 1-D and 24 to 30 in 2-D;
-    sorting by argsort, with a gathered copy and cloud-sized cell keys, 29
-    and 41 to 42; a second copy of the whole last level and np.unique's
-    temporaries, 73 and 72.
+    and 19 to 20 in 2-D on the systems of one ratio, whose cut set is the
+    depth-n paths. numpy's sort buffer (up to half the sorted array) is not
+    allocated through tracemalloc's hooks and is not counted. At small
+    depths the figure reads higher: penrose reads 22 at depth 12. Holding
+    all of level n-1 beside the last level, with each edge's image made as
+    a temporary first, took 20 in 1-D and 24 to 30 in 2-D; sorting by
+    argsort, with a gathered copy and cloud-sized cell keys, 29 and 41 to
+    42; a second copy of the whole last level and np.unique's temporaries,
+    73 and 72.
+
+    two_part_dust's cut set is far smaller than its depth-n paths, so its
+    cases here pass with room to spare; its own test bounds the peak in
+    bytes.
     """
 
     _peaks = {}
@@ -219,6 +224,18 @@ class TestSweepMemory:
                                                   ("squares_z2", 9, 22)])
     def test_peak_bytes_per_path_in_place(self, name, depth, bound):
         assert self._peak_per_path(name, depth) < bound
+
+    def test_cut_set_peak_bytes(self):
+        # 75,673 cut words of 4,194,304 depth-21 paths: 2.8 MB traced, where
+        # the sweep over every path took 69 MB
+        spec = bundled("two_part_dust")
+        tracemalloc.start()
+        try:
+            invariant_list(spec, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestCodingMap:
@@ -293,8 +310,6 @@ class TestResiduals:
             assert max(res.values()) <= 2 * approx.error_bound
 
 
-# two_part_dust at depth 10 has cloud points that no point of the refinement
-# is nearest to, so hausdorff_distance needs its second tree there
 RESIDUAL_DEPTHS = {"binary_ifs": 10, "cantor_ifs": 10, "duplicate_map": 10,
                    "two_part_dust": 10, "penrose": 8, "squares_z2": 6}
 
@@ -306,6 +321,32 @@ class TestResidualPin:
     @pytest.mark.parametrize("name", sorted(RESIDUAL_DEPTHS))
     def test_equals_two_tree_formula(self, name, monkeypatch, tree_builds):
         spec, approx = bundled(name), approx_for(name, RESIDUAL_DEPTHS[name])
+        per_call = self._residual_tree_builds(spec, approx, monkeypatch,
+                                              tree_builds)
+        if name == "squares_z2":
+            assert per_call == [1, 1]
+
+    def test_equals_two_tree_formula_with_second_tree(self, monkeypatch,
+                                                      tree_builds):
+        # overlapping maps of three ratios: at depth 7 some cloud points are
+        # no refinement point's nearest, so hausdorff_distance needs its
+        # second tree (no bundled cut-set cloud does at depths 6 to 16)
+        g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"),
+                          ("e3", "v", "v")])
+        spec = MWGraphSpec(graph=g, dimension=1,
+                           seed_boxes={"v": SeedBox((0.0,), (1.0,))},
+                           edge_maps={"e1": affine1(0.375, 0.0),
+                                      "e2": affine1(0.5, 0.0),
+                                      "e3": affine1(0.3, 0.5)})
+        approx = invariant_list(spec, 7)
+        per_call = self._residual_tree_builds(spec, approx, monkeypatch,
+                                              tree_builds)
+        assert per_call == [2]
+
+    @staticmethod
+    def _residual_tree_builds(spec, approx, monkeypatch, tree_builds):
+        """Check each residual against the two-tree formula; return the
+        KD-trees each hausdorff_distance call built."""
         per_call = []
 
         def counted_distance(a, b):
@@ -322,10 +363,7 @@ class TestResidualPin:
             assert res[v] == two_tree_hausdorff(approx.cloud(v).points, union)
         assert len(per_call) == len(spec.graph.vertices)
         assert all(n in (1, 2) for n in per_call)
-        if name == "squares_z2":
-            assert per_call == [1, 1]
-        if name == "two_part_dust":
-            assert 2 in per_call
+        return per_call
 
 
 class TestRefinementProperties:
@@ -346,11 +384,10 @@ class TestRefinementProperties:
         spec = two_part_dust()
         depth = 6
         approx = invariant_list(spec, depth)
+        words = cut_words(spec, depth)
         for v in spec.graph.vertices:
-            generated = np.array([
-                coding_map_prefix(spec, p).coords
-                for p in paths_from(spec.graph, v, depth)
-            ])
+            generated = np.array([coding_map_prefix(spec, w).coords
+                                  for w in words[v]])
             # round trip up to a few ulps (batched and single-point matmuls
             # may differ in the last bit)
             for row in approx.cloud(v).points:

@@ -1,23 +1,28 @@
-"""The grid dedup and the path sweep against the code they replaced.
+"""The grid dedup and the cut-set sweep against independent oracles.
 
 `reference_dedup` is the earlier `_dedup_sorted` (a row-wise np.unique) and
-`reference_sweep` the earlier level sweep (each level stacked from per-edge
-chunks), both kept verbatim as oracles: `invariant_list` must return the same
-rows, byte for byte, in the same order. `_dedup_sorted` sorts a C-contiguous
-argument in place, so the oracles here hand it a copy.
+`reference_sweep` the earlier level sweep over every depth-n path (each level
+stacked from per-edge chunks), both kept verbatim: where the cut set is the
+depth-n paths, `invariant_list` must return the same rows, byte for byte, in
+the same order. `reference_cut_sweep` maps each word of `cut_words`, found by
+brute force in Fraction, one at a time; it checks the sweep on every system.
+`_dedup_sorted` sorts a C-contiguous argument in place, so the oracles here
+hand it a copy.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled
+from conftest import bundled, cut_words
 from mwlab import attractor
 from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
     _dedup_sorted, invariant_list, total_paths
 from mwlab.datasets import list_bundled
-from mwlab.geometry import AffineContraction
+from mwlab.geometry import AffineContraction, hausdorff_distance
 from mwlab.graph import Graph
 
 
@@ -42,13 +47,70 @@ def reference_sweep(spec, depth):
     return pts
 
 
+def reference_cut_sweep(spec, depth):
+    """Each cut word's point, per start vertex: phi_w(base(r(w))), one word
+    at a time, innermost map first."""
+    out = {}
+    for v, words in cut_words(spec, depth).items():
+        points = []
+        for word in words:
+            point = spec.base_point(spec.graph.edge(word[-1]).range)
+            for eid in reversed(word):
+                point = spec.edge_maps[eid].apply(point)
+            points.append(point)
+        out[v] = np.array(points).reshape(len(words), spec.dimension)
+    return out
+
+
+def cut_is_depth_n(spec, depth):
+    """Whether every cut word has length n, so the cut set is the depth-n
+    paths."""
+    return all(len(w) == depth for words in cut_words(spec, depth).values()
+               for w in words)
+
+
+def grid_cell(spec, depth):
+    return spec.max_diameter * spec.contraction_upper ** depth / _DEDUP_DIVISOR
+
+
 def assert_same_clouds(spec, depth):
     approx = invariant_list(spec, depth)
-    cell = spec.max_diameter * spec.contraction_upper ** depth / _DEDUP_DIVISOR
+    cell = grid_cell(spec, depth)
     for v, points in reference_sweep(spec, depth).items():
         want = reference_dedup(points, cell)
         got = approx.cloud(v).points
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def swept_rows(spec, depth):
+    """invariant_list's result, and the rows it handed the dedup per vertex."""
+    rows = []
+
+    def recording(points, cell):
+        rows.append(points.copy())
+        return _dedup_sorted(points, cell)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(attractor, "_dedup_sorted", recording)
+        approx = invariant_list(spec, depth)
+    assert len(rows) == len(spec.graph.vertices)
+    return approx, dict(zip(spec.graph.vertices, rows))
+
+
+def assert_matches_cut_reference(spec, depth):
+    approx, rows = swept_rows(spec, depth)
+    cell = grid_cell(spec, depth)
+    for v, want in reference_cut_sweep(spec, depth).items():
+        got = rows[v]
+        # one row per cut word; the sweep maps blocks of rows matrix by
+        # matrix and the reference one row matrix by vector, which may round
+        # differently in the last bits
+        assert got.shape == want.shape
+        assert hausdorff_distance(got, want) <= 1e-12
+        cloud = approx.cloud(v).points
+        assert cloud.tobytes() == reference_dedup(got, cell).tobytes()
+        assert hausdorff_distance(cloud, want) <= \
+            math.sqrt(spec.dimension) * cell + 1e-12
 
 
 def assert_same_bytes(points, cell):
@@ -193,22 +255,45 @@ def test_non_contiguous_input():
             assert points.tobytes() == before
 
 
+# every bundled example but two_part_dust has one ratio, and its cut set is
+# the depth-n paths
+UNIFORM = [name for name in list_bundled() if name != "two_part_dust"]
+
+
 @pytest.mark.parametrize("name,depth", [("squares_z2", 6), ("penrose", 10),
-                                        ("two_part_dust", 12),
                                         ("duplicate_map", 12),
                                         ("cantor_ifs", 12),
                                         ("binary_ifs", 12)])
 def test_bundled_clouds_match_reference(name, depth):
+    assert cut_is_depth_n(bundled(name), depth)
     assert_same_clouds(bundled(name), depth)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
-@pytest.mark.parametrize("name", list_bundled())
+@pytest.mark.parametrize("name,depth", [
+    (name, depth) for name in list_bundled() for depth in (1, 2, 3)
+    if name in UNIFORM or depth == 1])
 def test_shallow_bundled_clouds_match_reference(name, depth):
     # the last level is built from level n-2: here the base points (depth 2,
     # mapped one row at a time) or a single level, and at depth 1 from the
     # base points directly
+    assert cut_is_depth_n(bundled(name), depth)
     assert_same_clouds(bundled(name), depth)
+
+
+@pytest.mark.parametrize("name,depth", [
+    *((name, depth) for name in list_bundled() for depth in (1, 2, 3)),
+    ("two_part_dust", 6), ("two_part_dust", 12), ("penrose", 10),
+    ("squares_z2", 5)])
+def test_bundled_clouds_match_cut_reference(name, depth):
+    assert_matches_cut_reference(bundled(name), depth)
+
+
+def test_two_part_dust_cut_set_is_not_the_paths():
+    # ratios 0.5, 0.5, 0.75 and 0.25: from depth 2 on some cut word is shorter
+    spec = bundled("two_part_dust")
+    assert cut_is_depth_n(spec, 1)
+    for depth in (2, 3, 12):
+        assert not cut_is_depth_n(spec, depth)
 
 
 # Coefficients on a coarse lattice, so that different paths often land on the
@@ -267,7 +352,27 @@ def systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_random_systems_match_reference(case):
+    assume(cut_is_depth_n(*case))
     assert_same_clouds(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_random_systems_match_cut_reference(case):
+    assert_matches_cut_reference(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems(), st.data())
+def test_random_systems_clouds_within_bounds_across_depths(case, data):
+    # each cloud lies within its error bound of the invariant set, so two
+    # clouds of one system lie within the sum of their bounds of each other
+    spec, depth = case
+    other = data.draw(st.integers(1, depth))
+    a, b = invariant_list(spec, depth), invariant_list(spec, other)
+    for v in spec.graph.vertices:
+        assert hausdorff_distance(a.cloud(v).points, b.cloud(v).points) <= \
+            a.error_bound + b.error_bound
 
 
 @settings(max_examples=100, deadline=None)

@@ -113,7 +113,12 @@ def ref_hermite_normal_form(m):
             pivot_row += 1
             if pivot_row == w.rows:
                 break
-    return IntMatrix(w.a), IntMatrix(w.u)
+    return sized(w.a, w.rows, w.cols), sized(w.u, w.rows, w.rows)
+
+
+def sized(rows, height, width):
+    """IntMatrix(rows), kept height x width when there are no rows."""
+    return IntMatrix(rows) if rows else IntMatrix.zeros(height, width)
 
 
 def ref_smith_normal_form(m):
@@ -163,7 +168,9 @@ def ref_smith_normal_form(m):
             w.add_row(k, offender, 1)
         if k < w.rows and k < w.cols and w.a[k][k] == 0:
             break
-    return SmithDecomposition(IntMatrix(w.u), IntMatrix(w.a), IntMatrix(w.v))
+    return SmithDecomposition(sized(w.u, w.rows, w.rows),
+                              sized(w.a, w.rows, w.cols),
+                              sized(w.v, w.cols, w.cols))
 
 
 def ref_kernel_basis(m):
@@ -187,7 +194,10 @@ def assert_same_as_reference(m):
     ref = ref_smith_normal_form(m)
     got = smith_normal_form(m)
     assert (got.U, got.D, got.V) == (ref.U, ref.D, ref.V)
-    assert hermite_normal_form(m) == ref_hermite_normal_form(m)
+    assert got.U @ m @ got.V == got.D
+    h, u = hermite_normal_form(m)
+    assert (h, u) == ref_hermite_normal_form(m)
+    assert u @ m == h
     group, basis = kernel(m)
     assert basis == ref_kernel_basis(m)
     assert group == FgAbelianGroup(basis.cols)
@@ -241,3 +251,21 @@ def test_graph_laplacians_match_reference(n, moved):
         a = out_split(a, v, halve_row(a[v]))
     assert_same_as_reference(IntMatrix(one_minus_transpose(a)))
     assert_same_as_reference(IntMatrix(a))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_sides_keep_their_shape(shape):
+    m = IntMatrix.zeros(*shape)
+    rows, cols = shape
+    snf = smith_normal_form(m)
+    assert (snf.U.shape, snf.D.shape, snf.V.shape) == \
+        ((rows, rows), shape, (cols, cols))
+    assert snf.U @ m @ snf.V == snf.D
+    h, u = hermite_normal_form(m)
+    assert (h.shape, u.shape) == (shape, (rows, rows))
+    assert u @ m == h
+
+
+def test_columns_of_length_zero_keep_their_count():
+    assert IntMatrix.from_columns([(), ()], rows=0).shape == (0, 2)
+    assert IntMatrix.from_columns([(), ()]).shape == (0, 2)

@@ -50,10 +50,10 @@ DIGESTS = {
         "png": "593e3bf6d6c7b97484d15c371037e748ab9372950843281a2112998eb30529ec",
     },
     "two_part_dust": {
-        "report": "448f5de89de200f48574619aabd0492531debc3bb351dd9e59ccde6b9fc1335e",
-        "conditions": "444fada9442749bccfd70247cfbae16d1decb2d598cd03b8c8ccd41c4313bf15",
-        "csv": "8fd662ac759ec8f18377f775b3ce7d1c051aca20c89d5e88fe4dae760970094a",
-        "png": "7ed050a5d674aebc4650fb014bbcdebbbc6729a5a14891f15dbc4c3c7e23397f",
+        "report": "f76e8104e58122d3729d598e845c056257e4ee73cbf09801aabb3246d038fd92",
+        "conditions": "9eece9362f175ffda450de42809c567e7e72313353ec9e8c4c971a76df775b00",
+        "csv": "b8fd7a93b0d8f91134245461cffb1746fde73bbdaf05b888537954e22cce2c51",
+        "png": "b6040dfc184b24719eb3319530b663029e22395ff9ffef57c081f005de02d798",
     },
 }
 

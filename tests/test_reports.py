@@ -202,7 +202,9 @@ def ref_render_text(report):
             and branch.suggested_depth):
         lines.append(
             f"  note: sampled scan out-resolves tol only from depth "
-            f"{branch.suggested_depth}; reported witnesses are exact")
+            f"{branch.suggested_depth}; each witness lies on the float "
+            f"coincidence set within error_bound + tol of a cloud point, "
+            f"which does not prove it lies in K")
     lines += [
         "",
         f"graph separation: {'holds' if report.separation.holds else 'fails'}"
