@@ -455,7 +455,10 @@ class _CutClasses:
         self._slack = 2.0 ** -40 * (depth + 1) * (1 + abs(self._log_eps))
         self._none = (0,) * len(bounds)
         self.emits = []     # per class: its rows are cut words
-        self.child = []     # per class: {edge id: class of the extension}
+        self.child = []     # per class: the class of each extension, in
+                            # the order of the edges into its vertex
+        self.position = {eid: i for edges in self.into.values()
+                         for i, (eid, _, _) in enumerate(edges)}
         self.extends = []   # per class: some extension is not dropped
         self.defers = []    # per class: no cut word, every extension is
         self._ids = {}
@@ -502,9 +505,9 @@ class _CutClasses:
     def base(self, vertex):
         """The class of a vertex's base point: its extension along an edge e
         is the one-letter word e."""
-        return self._add(None, False, {
-            eid: self._classify((source, self._none, i))
-            for eid, source, i in self.into[vertex]})
+        return self._add(None, False, tuple(
+            self._classify((source, self._none, i))
+            for _, source, i in self.into[vertex]))
 
     def _add(self, key, emits, child):
         if key in self._ids:
@@ -514,10 +517,10 @@ class _CutClasses:
             self._ids[key] = k
         self.emits.append(emits)
         self.child.append(child)
-        self.extends.append(any(c != _DROP for c in child.values()))
+        self.extends.append(any(c != _DROP for c in child))
         self.defers.append(not emits and all(
             c != _DROP and self.emits[c] and not self.extends[c]
-            for c in child.values()))
+            for c in child))
         return k
 
     def _classify(self, state):
@@ -534,20 +537,18 @@ class _CutClasses:
             if kids is None:
                 # each extension e.w, or None once prod(e.P) <= eps
                 kids = []
-                for eid, source, i in into[v]:
+                for _, source, i in into[v]:
                     more = counts[:i] + (counts[i] + 1,) + counts[i + 1:]
-                    kids.append((eid, None if self._at_most_eps(
+                    kids.append((None if self._at_most_eps(
                         more, log + logs[i]) else (source, more, t),
                         log + logs[i]))
                 stack.append((s, log, kids))
-                stack.extend((c, x, None) for _, c, x in kids
+                stack.extend((c, x, None) for c, x in kids
                              if c is not None and c not in known)
                 continue
-            child = {eid: _DROP if c is None else known[c]
-                     for eid, c, _ in kids}
+            child = tuple(_DROP if c is None else known[c] for c, _ in kids)
             emits = self._at_most_eps(counts, log + logs[t], extra=t)
-            known[s] = self._add((v, emits, tuple(child.values())), emits,
-                                 child)
+            known[s] = self._add((v, emits, child), emits, child)
         return known[state]
 
 
@@ -594,6 +595,8 @@ def _cut_set_clouds(spec, depth, cell):
                 rows = cut_rows.pop(v)
                 clouds[v] = VertexCloud(vertex=v, points=_dedup_sorted(
                     rows[0] if len(rows) == 1 else np.concatenate(rows), cell))
+                # the rows the dedup dropped go before the next vertex's level
+                del level, rows
             elif extends:
                 built[v], blocks[v] = _grouped(level, plan)
         if last:
@@ -608,9 +611,9 @@ def _plan(blocks, out, classes):
     plan, runs = [], []
     row = 0
     for m, eid, q in out:
-        first = len(runs)
+        first, i = len(runs), classes.position[eid]
         for k, a, b in blocks[q]:
-            k = classes.child[k][eid]
+            k = classes.child[k][i]
             if k == _DROP:
                 continue
             if len(runs) > first and runs[-1][3] == a:
