@@ -176,7 +176,7 @@ class TestSweepMemory:
     reaches, and the dedup's mask of one byte per row: each image is written
     straight into its level, and the last level is sorted in place and
     scanned one slab of rows at a time. That reads 12 bytes per path in 1-D
-    and 19 to 20 in 2-D on the systems of one ratio, whose cut set is the
+    and 17 to 20 in 2-D on the systems of one ratio, whose cut set is the
     depth-n paths. numpy's sort buffer (up to half the sorted array) is not
     allocated through tracemalloc's hooks and is not counted. At small
     depths the figure reads higher: penrose reads 22 at depth 12. Holding
