@@ -14,7 +14,10 @@ prefer these witnesses.
 
 Only pairs sharing both source and range are compared: components at distinct
 vertices are disjoint by the labeling convention, so no coincidence can occur
-across them.
+across them. Detections within tol merge greedily, each compared only with
+clusters in the grid cells next to its own. The open set check runs
+geometry's float-tolerance cover and disjointness tests on a supplied
+candidate of any number of pieces.
 """
 
 import itertools
@@ -140,30 +143,33 @@ def _scan_pair(spec, approx, e, f, tol):
 
 
 def _cluster(detections, tol, source_vertex, range_vertex):
-    """Greedy clustering of detections within tol; edge sets merge."""
+    """Greedy clustering of detections within tol; edge sets merge.
+
+    Detections come certified first; each joins the earliest cluster whose
+    first point is within tol of it in x and in y, or starts one. Clusters
+    are indexed by the cell of y in a grid 2*tol wide: one that a detection
+    joins lies in the 3^d cells around the detection's own.
+    """
     clusters = []  # [x, y, set(edges), certified]
+    cells = {}     # cell of y -> indices of its clusters, in creation order
     for x, y, certified, pair_edges in detections:
-        placed = False
-        for entry in clusters:
+        cell = tuple(np.floor(y / (2.0 * tol)).tolist())
+        near = sorted({k for c in itertools.product(
+            *((i - 1, i, i + 1) for i in cell)) for k in cells.get(c, ())})
+        for k in near:
+            entry = clusters[k]
             if (np.linalg.norm(entry[0] - x) <= tol
                     and np.linalg.norm(entry[1] - y) <= tol):
                 entry[2].update(pair_edges)
-                if certified and not entry[3]:
-                    entry[0], entry[1], entry[3] = x, y, True
-                placed = True
                 break
-        if not placed:
-            clusters.append([x.copy(), y.copy(), set(pair_edges), certified])
-    out = []
-    for x, y, edges, certified in clusters:
-        ordered = tuple(sorted(edges))
-        out.append(BranchPoint(
-            x=LabeledPoint(vertex=source_vertex, coords=x),
-            y=LabeledPoint(vertex=range_vertex, coords=y),
-            edges=ordered,
-            index=len(ordered),
-            certified=certified))
-    return out
+        else:
+            cells.setdefault(cell, []).append(len(clusters))
+            clusters.append([x, y, set(pair_edges), certified])
+    return [BranchPoint(x=LabeledPoint(vertex=source_vertex, coords=x),
+                        y=LabeledPoint(vertex=range_vertex, coords=y),
+                        edges=tuple(sorted(edges)), index=len(edges),
+                        certified=certified)
+            for x, y, edges, certified in clusters]
 
 
 def branch_points(spec, approx, tol):

@@ -1,6 +1,8 @@
 """Metric substrate: affine contractions with certified singular-value bounds,
-labeled points, convex polygons and intervals for open-set candidates, and
-Hausdorff distance between finite point clouds.
+labeled points, Hausdorff distance between finite point clouds, and convex
+polygons and intervals for open-set candidates. Their cover test (convex
+subtraction for polygons) and disjointness test (separating axes) decide up
+to float tolerances; they are not proofs.
 
 Ambient spaces are Euclidean R^d with d in {1, 2}. Points belonging to
 different vertex components never interact metrically; the vertex label keeps
@@ -27,7 +29,6 @@ __all__ = [
     "polygon_in_union",
     "intervals_disjoint",
     "interval_in_union",
-    "clip_convex",
 ]
 
 
@@ -321,71 +322,60 @@ def polygons_disjoint(p, q, tol=0.0):
     return False
 
 
-def clip_convex(subject, clip):
-    """Intersection of two convex polygons (Sutherland-Hodgman).
-
-    Accepts ConvexPolygon or raw (n, 2) vertex arrays. Returns an (n, 2)
-    array; fewer than 3 vertices means the intersection has empty interior.
-    """
-    sv = subject.vertices if isinstance(subject, ConvexPolygon) else np.asarray(subject)
-    cv = clip.vertices if isinstance(clip, ConvexPolygon) else np.asarray(clip)
-    pts = [tuple(v) for v in sv]
-    n = len(cv)
-    for i in range(n):
-        a, b = cv[i], cv[(i + 1) % n]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        out = []
-        m = len(pts)
-        if m == 0:
-            break
-        side = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in pts]
-        for j in range(m):
-            p, sp = pts[j], side[j]
-            q, sq = pts[(j + 1) % m], side[(j + 1) % m]
-            if sp >= 0:
-                out.append(p)
-            if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
-                t = sp / (sp - sq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        pts = out
-    return np.array(pts, dtype=float).reshape(-1, 2)
+def _split(pts, a, b):
+    """One Sutherland-Hodgman half-plane step that keeps both sides: the parts
+    of convex polygon pts (a counterclockwise list of (x, y) pairs) left and
+    right of the line a -> b. A vertex on the line goes to both; a part of
+    fewer than 3 vertices has empty interior."""
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    side = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in pts]
+    left, right = [], []
+    for p, q, sp, sq in zip(pts, pts[1:] + pts[:1], side, side[1:] + side[:1]):
+        if sp >= 0:
+            left.append(p)
+        if sp <= 0:
+            right.append(p)
+        if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
+            t = sp / (sp - sq)
+            cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            left.append(cut)
+            right.append(cut)
+    return left, right
 
 
-def _poly_area_raw(pts):
-    if len(pts) < 3:
-        return 0.0
-    return abs(_signed_area(pts))
-
-
-def _intersection_area(polys):
-    """Area of the common intersection of a list of convex polygons."""
-    pts = polys[0].vertices
-    for q in polys[1:]:
-        pts = clip_convex(pts, q)
+def _minus(pts, q):
+    """The part of convex polygon pts outside the ConvexPolygon q: at most one
+    convex piece per edge of q, the part outside that edge and inside the
+    edges before it, so the pieces have disjoint interiors."""
+    cv = q.vertices.tolist()
+    pieces = []
+    for a, b in zip(cv, cv[1:] + cv[:1]):
+        pts, outside = _split(pts, a, b)
+        if len(outside) >= 3:
+            pieces.append(outside)
         if len(pts) < 3:
-            return 0.0
-    return _poly_area_raw(pts)
+            break
+    return pieces
+
+
+def _uncovered_area(p, union):
+    """Area of the part of polygon p outside every polygon of the union."""
+    rest = [p.vertices.tolist()]
+    for q in union:
+        rest = [piece for pts in rest for piece in _minus(pts, q)]
+    return math.fsum(abs(_signed_area(np.array(pts))) for pts in rest)
 
 
 def polygon_in_union(p, union, tol):
     """True iff polygon p is covered by the union, up to residual area tol*area(p).
 
-    The covered area inside p is computed exactly (up to float arithmetic) by
-    inclusion-exclusion over the convex pieces of the union.
+    Each piece of the union is cut out of p in turn (convex subtraction); the
+    summed area of the convex pieces left, never negative, is the residual.
+    There is no limit on the number of pieces; an empty union covers nothing.
     """
     if not union:
-        return p.area <= 0
-    if len(union) > 16:
-        raise GeometryError("union too large for inclusion-exclusion cover test")
-    covered = 0.0
-    n = len(union)
-    for mask in range(1, 1 << n):
-        subset = [union[i] for i in range(n) if mask >> i & 1]
-        area = _intersection_area([p] + subset)
-        if area == 0.0:
-            continue
-        covered += area if bin(mask).count("1") % 2 else -area
-    residual = p.area - covered
+        return False
+    residual = _uncovered_area(p, union)
     return residual <= tol * p.area + 1e-12 * max(1.0, p.area)
 
 

@@ -4,7 +4,8 @@ dataset files, so dataset bugs cannot mask library bugs)."""
 import numpy as np
 
 from mwlab.attractor import MWGraphSpec, SeedBox
-from mwlab.geometry import AffineContraction, Interval, similarity_from_params
+from mwlab.geometry import AffineContraction, ConvexPolygon, Interval, \
+    similarity_from_params
 from mwlab.graph import Graph
 
 
@@ -79,3 +80,34 @@ def two_part_dust():
             "e4": similarity_from_params(0.25, -60.0, (1.0, 0.0)),
         },
         name="dust-inline")
+
+
+def _half_maps(corners):
+    return {f"e{i}": AffineContraction(0.5 * np.eye(2), corner)
+            for i, corner in enumerate(corners, 1)}
+
+
+def quarter_squares(strips=17, drop=None):
+    """The unit square as four half-scale copies of itself, with the open-set
+    candidate cut into vertical strips of equal width; strip `drop` (an
+    index) is left out of the candidate."""
+    edge_maps = _half_maps([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
+    pieces = [ConvexPolygon([[i / strips, 0.0], [(i + 1) / strips, 0.0],
+                             [(i + 1) / strips, 1.0], [i / strips, 1.0]])
+              for i in range(strips) if i != drop]
+    return MWGraphSpec(
+        graph=Graph(["v"], [(e, "v", "v") for e in edge_maps]), dimension=2,
+        seed_boxes={"v": SeedBox((0.0, 0.0), (1.0, 1.0))},
+        edge_maps=edge_maps, open_sets={"v": pieces},
+        name=f"quarter-squares-{strips}-inline")
+
+
+def doubled_gasket():
+    """A Sierpinski gasket on the unit square, whose first map is listed
+    twice: every point of the invariant set is a branch point of e1 and e4,
+    and every cloud point is a certified witness."""
+    edge_maps = _half_maps([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.0, 0.0)])
+    return MWGraphSpec(
+        graph=Graph(["v"], [(e, "v", "v") for e in edge_maps]), dimension=2,
+        seed_boxes={"v": SeedBox((0.0, 0.0), (1.0, 1.0))},
+        edge_maps=edge_maps, name="doubled-gasket-inline")

@@ -28,6 +28,7 @@ from mwlab.conditions import BranchPoint, BranchReport, _suggest_depth, \
 from mwlab.datasets import list_bundled
 from mwlab.geometry import AffineContraction, LabeledPoint
 from mwlab.graph import Graph
+from specs_inline import doubled_gasket
 
 _RANK_CUTOFF = 1e-10
 
@@ -299,3 +300,30 @@ def test_branch_scan_builds_no_kdtree(monkeypatch):
             monkeypatch.setattr(module, "cKDTree", refuse)
         assert branch_points(bundled(name), approx, 1e-3).count >= 0
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.07])
+def test_doubled_gasket_matches_reference(tol):
+    # every cloud point is a certified witness of e1 and e4
+    spec = doubled_gasket()
+    report = assert_same_report(spec, invariant_list(spec, 6), tol)
+    assert report.count == (729 if tol == 1e-6 else 68)
+
+
+def test_doubled_gasket_clusters_in_linear_time(monkeypatch):
+    # 19,683 branch points at depth 9: comparing each detection with every
+    # earlier cluster would take about 2e8 norms
+    spec = doubled_gasket()
+    approx = invariant_list(spec, 9)
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    report = branch_points(spec, approx, 1e-6)
+    points = len(approx.cloud("v").points)
+    assert report.count == points == 3 ** 9
+    assert len(calls) <= 3 * points

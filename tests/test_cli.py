@@ -15,7 +15,7 @@ from mwlab.datasets import bundled_document
 from mwlab.graph import vertex_matrix
 from mwlab.ktheory import IntMatrix
 from mwlab.specio import serialize_spec
-from specs_inline import one_loop, thin_cantor
+from specs_inline import one_loop, quarter_squares, thin_cantor
 
 from conftest import bundled
 
@@ -368,6 +368,27 @@ class TestConditions:
         assert doc["open_set_condition"]["holds"] is False
         assert doc["hypothesis"]["open_set_condition"] is False
         assert doc["hypothesis"]["verdict"] == "HypothesesNotMet"
+
+    def test_candidate_of_seventeen_pieces(self, tmp_path):
+        # inclusion-exclusion refused more than 16 pieces: a traceback, exit 1
+        doc = tmp_path / "strips.json"
+        doc.write_text(json.dumps(serialize_spec(quarter_squares(17))))
+        code, out, _ = run_cli("conditions", str(doc), "--depth", "3")
+        assert code == 0
+        assert "open set condition: True" in out
+        assert "open set condition failures" not in out
+
+    def test_candidate_missing_a_strip(self, tmp_path):
+        doc = tmp_path / "strips.json"
+        doc.write_text(json.dumps(serialize_spec(quarter_squares(17, drop=8))))
+        code, out, _ = run_cli("conditions", str(doc), "--depth", "3")
+        assert code == 0
+        assert "open set condition: False" in out
+        failures = out.split("open set condition failures:\n")[1]
+        assert failures.startswith(
+            "  containment: image of edge e1 (piece 15) is not inside the "
+            "candidate at v\n")
+        assert "overlap" not in out
 
     def test_tiny_tol_suggests_a_depth(self):
         # tol/4 divided by the depth-0 certificate underflows to 0.0 here

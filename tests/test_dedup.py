@@ -349,6 +349,42 @@ def systems(draw):
     return spec, depth
 
 
+@st.composite
+def mixed_systems(draw):
+    """A valid system in d = 1 or 2 whose maps' |scale| values differ by a
+    factor of 1.5 or more, and a depth of at least 3 that keeps it under
+    3000 paths: its cut set is seldom the depth-n paths. Each matrix is a
+    scale from SCALES times a signed permutation matrix."""
+    d = draw(st.sampled_from((1, 2)))
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    pairs = [(v, vertices[(i + 1) % len(vertices)])
+             for i, v in enumerate(vertices)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                     st.sampled_from(vertices)),
+                           min_size=max(0, 2 - len(pairs)), max_size=3))
+    scales = draw(st.lists(st.sampled_from(SCALES), min_size=len(pairs),
+                           max_size=len(pairs)).filter(
+        lambda ss: max(map(abs, ss)) >= 1.5 * min(map(abs, ss))))
+    maps = []
+    for s in scales:
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=d,
+                              max_size=d))
+        rows = np.eye(d)[list(draw(st.permutations(range(d))))]
+        maps.append(AffineContraction(
+            s * np.array(signs)[:, None] * rows,
+            draw(st.lists(st.sampled_from(SHIFTS), min_size=d, max_size=d))))
+    box = SeedBox((-1.0,) * d, (1.0,) * d)
+    spec = MWGraphSpec(
+        graph=Graph(vertices,
+                    [(f"e{k}", *pair) for k, pair in enumerate(pairs)]),
+        dimension=d, seed_boxes={v: box for v in vertices},
+        edge_maps={f"e{k}": m for k, m in enumerate(maps)})
+    depth = draw(st.integers(3, 10))
+    while total_paths(spec, depth) > 3000:
+        depth -= 1
+    return spec, depth
+
+
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_random_systems_match_reference(case):
@@ -359,6 +395,12 @@ def test_random_systems_match_reference(case):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_random_systems_match_cut_reference(case):
+    assert_matches_cut_reference(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_systems())
+def test_mixed_ratio_systems_match_cut_reference(case):
     assert_matches_cut_reference(*case)
 
 

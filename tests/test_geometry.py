@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import two_tree_hausdorff
 from mwlab.errors import GeometryError
@@ -9,6 +11,8 @@ from mwlab.geometry import (
     AffineContraction,
     ConvexPolygon,
     Interval,
+    _signed_area,
+    _uncovered_area,
     contraction_bounds,
     hausdorff_distance,
     interval_in_union,
@@ -325,6 +329,169 @@ class TestPolygons:
     def test_orientation_normalized(self):
         p = ConvexPolygon([[0, 0], [0, 1], [1, 1], [1, 0]])  # clockwise input
         assert p.area == pytest.approx(1.0)
+
+    def test_empty_union_covers_nothing(self):
+        assert not polygon_in_union(square(0, 0, 1, 1), [], tol=1.0)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sub_square_tilings_cover_at_tol_zero(self, k):
+        # inclusion-exclusion read a residual of -2.2e-16 on the 3x3 tiling
+        p = square(0, 0, 1, 1)
+        cells = [square(i / k, j / k, (i + 1) / k, (j + 1) / k)
+                 for i in range(k) for j in range(k)]
+        assert 0.0 <= _uncovered_area(p, cells) <= 1e-15
+        assert polygon_in_union(p, cells, tol=0.0)
+        assert _uncovered_area(p, cells[1:]) == pytest.approx(1 / k**2,
+                                                              rel=1e-12)
+        assert not polygon_in_union(p, cells[1:], tol=0.0)
+
+    def test_more_than_sixteen_pieces(self):
+        # inclusion-exclusion refused unions of more than 16 pieces
+        p = square(0, 0, 1, 1)
+        strips = [square(i / 17, 0, (i + 1) / 17, 1) for i in range(17)]
+        assert polygon_in_union(p, strips, tol=0.0)
+        assert not polygon_in_union(p, strips[:8] + strips[9:], tol=1e-9)
+        assert polygon_in_union(p, strips[:8] + strips[9:], tol=1 / 17)
+
+
+# --- the cover test against the one it replaced -----------------------------
+#
+# `clip_convex`, `_poly_area_raw`, `_intersection_area` and the body of
+# `ref_polygon_in_union` are the earlier cover test, kept verbatim. It summed
+# the areas of p's intersections with every subset of the union by
+# inclusion-exclusion, 2^n terms for n pieces, and refused n > 16.
+
+
+def clip_convex(subject, clip):
+    """Intersection of two convex polygons (Sutherland-Hodgman).
+
+    Accepts ConvexPolygon or raw (n, 2) vertex arrays. Returns an (n, 2)
+    array; fewer than 3 vertices means the intersection has empty interior.
+    """
+    sv = subject.vertices if isinstance(subject, ConvexPolygon) else np.asarray(subject)
+    cv = clip.vertices if isinstance(clip, ConvexPolygon) else np.asarray(clip)
+    pts = [tuple(v) for v in sv]
+    n = len(cv)
+    for i in range(n):
+        a, b = cv[i], cv[(i + 1) % n]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        out = []
+        m = len(pts)
+        if m == 0:
+            break
+        side = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in pts]
+        for j in range(m):
+            p, sp = pts[j], side[j]
+            q, sq = pts[(j + 1) % m], side[(j + 1) % m]
+            if sp >= 0:
+                out.append(p)
+            if (sp > 0 and sq < 0) or (sp < 0 and sq > 0):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        pts = out
+    return np.array(pts, dtype=float).reshape(-1, 2)
+
+
+def _poly_area_raw(pts):
+    if len(pts) < 3:
+        return 0.0
+    return abs(_signed_area(pts))
+
+
+def _intersection_area(polys):
+    """Area of the common intersection of a list of convex polygons."""
+    pts = polys[0].vertices
+    for q in polys[1:]:
+        pts = clip_convex(pts, q)
+        if len(pts) < 3:
+            return 0.0
+    return _poly_area_raw(pts)
+
+
+def ref_polygon_in_union(p, union, tol):
+    """True iff polygon p is covered by the union, up to residual area tol*area(p).
+
+    The covered area inside p is computed exactly (up to float arithmetic) by
+    inclusion-exclusion over the convex pieces of the union.
+    """
+    if not union:
+        return p.area <= 0
+    if len(union) > 16:
+        raise GeometryError("union too large for inclusion-exclusion cover test")
+    covered = 0.0
+    n = len(union)
+    for mask in range(1, 1 << n):
+        subset = [union[i] for i in range(n) if mask >> i & 1]
+        area = _intersection_area([p] + subset)
+        if area == 0.0:
+            continue
+        covered += area if bin(mask).count("1") % 2 else -area
+    residual = p.area - covered
+    return residual <= tol * p.area + 1e-12 * max(1.0, p.area)
+
+
+GRID = 8
+# four cells tiling [0, 1]^2, so that some unions cover p exactly along
+# shared edges
+QUARTERS = [((x, y), (x + 0.5, y), (x + 0.5, y + 0.5), (x, y + 0.5))
+            for x in (0.0, 0.5) for y in (0.0, 0.5)]
+
+
+def lattice_hull(points):
+    """Convex hull of integer points, counterclockwise, with no collinear
+    vertex (Andrew's monotone chain)."""
+    def turns_left(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) > 0
+
+    def chain(seq):
+        out = []
+        for c in seq:
+            while len(out) >= 2 and not turns_left(out[-2], out[-1], c):
+                out.pop()
+            out.append(c)
+        return out[:-1]
+
+    pts = sorted(set(points))
+    return chain(pts) + chain(pts[::-1])
+
+
+@st.composite
+def lattice_polygons(draw):
+    """Vertices of a convex polygon on the 1/GRID lattice in [0, 1]^2."""
+    corner = st.tuples(st.integers(0, GRID), st.integers(0, GRID))
+    hull = lattice_hull(draw(st.lists(corner, min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    return [(x / GRID, y / GRID) for x, y in hull]
+
+
+@st.composite
+def cover_cases(draw):
+    """A convex p and a union of 1-8 convex pieces, all turned by one angle
+    (so that a turned lattice point is no longer exact)."""
+    quarters = draw(st.lists(st.sampled_from(QUARTERS), unique=True,
+                             max_size=4))
+    union = list(quarters) + draw(st.lists(lattice_polygons(),
+                                     min_size=0 if quarters else 1,
+                                     max_size=8 - len(quarters)))
+    p = draw(lattice_polygons())
+    turn = draw(st.sampled_from((0.0, 0.3, 2.5)))
+    rot = np.array([[math.cos(turn), -math.sin(turn)],
+                    [math.sin(turn), math.cos(turn)]])
+    return (ConvexPolygon(np.array(p) @ rot.T),
+            [ConvexPolygon(np.array(q) @ rot.T) for q in union])
+
+
+COVER_TOLS = (0.0, 1e-9, 0.01, 0.1, 0.3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_cases())
+def test_cover_matches_inclusion_exclusion(case):
+    p, union = case
+    assert _uncovered_area(p, union) >= 0.0
+    for tol in COVER_TOLS:
+        assert polygon_in_union(p, union, tol) == \
+            ref_polygon_in_union(p, union, tol)
 
 
 class TestIntervals:
