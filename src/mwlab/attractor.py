@@ -29,8 +29,14 @@ is the depth-n paths, the blocks are the per-vertex levels, level n-1 is the
 one not built, and at its peak the sweep holds level n-2, one vertex's last
 level, the scratch block and that vertex's dedup temporaries. The budget
 still counts the depth-n paths, an upper bound on the cut set; that exact
-count travels on the result as paths_total, and the invariance residual
-builds its unions with the sweep's level builder.
+count travels on the result as paths_total.
+
+The passes over finished clouds go one row block at a time (_row_blocks):
+the invariance residual maps each union of one-step images block by block
+into one buffer, with the rows the level builder would give, and queries
+each block against one KD-tree, building a union whole only where a tree is
+built on it; the branch scan, the CSV writer and the renderer take the
+same blocks.
 
 The dedup sorts a vertex's cut rows in place, each 2-D row read as one
 complex number, then finds the first point of each grid cell one slab of
@@ -48,7 +54,8 @@ import numpy as np
 from .errors import BudgetExceededError, ResolutionError, SpecValidationError
 # cKDTree is geometry's lazy KD-tree builder, unused here; the name stays
 # because the benchmark's traced run counts builds by patching it per module
-from .geometry import AffineContraction, LabeledPoint, cKDTree, hausdorff_distance
+from .geometry import AffineContraction, LabeledPoint, _blocked_hausdorff, \
+    cKDTree
 from .graph import Graph, has_sinks_or_sources, vertex_matrix
 
 __all__ = [
@@ -79,6 +86,12 @@ _DEDUP_DIVISOR = 1024
 # of its last grid column: enough rows that numpy's per-call cost is small,
 # few enough that a slab's temporaries are small beside the cloud.
 _SLAB_ROWS = 1 << 14
+
+# Rows per block of the passes over a finished cloud (_row_blocks): the
+# residual's images, the branch scan, the CSV text and the PNG splats. Each
+# residual block is one threaded KD-tree query, which costs enough per call
+# that blocks of _SLAB_ROWS rows were slower; blocks of this size were not.
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -679,6 +692,35 @@ def _runs(steps):
     return [[step] for step in steps]
 
 
+def _row_blocks(n):
+    """(start, stop) of each block of a pass over n rows: _BLOCK_ROWS rows
+    each, the last one the rest. No block is a single row unless n is 1: a
+    remainder of one row joins the block before it. numpy maps a lone row by
+    a matrix-vector product (see _runs), so only then does mapping the
+    blocks one by one give the rows that mapping all n at once does."""
+    stops = list(range(_BLOCK_ROWS, n, _BLOCK_ROWS))
+    if stops and n - stops[-1] == 1:
+        stops.pop()
+    return list(zip([0] + stops, stops + [n]))
+
+
+def _image_blocks(steps, dimension):
+    """The images of the points of (map, points) steps, in order, in blocks
+    of at most _BLOCK_ROWS + 1 rows, each written into one reusable buffer
+    and valid until the next is asked for. Each step is mapped one of its
+    _row_blocks at a time, as many of them to a block as fit, so the blocks
+    hold bit for bit the rows _level builds of the steps."""
+    buffer = np.empty((min(_rows(steps), _BLOCK_ROWS + 1), dimension))
+    fill = 0
+    for m, points in steps:
+        for a, b in _row_blocks(len(points)):
+            if fill + b - a > len(buffer):
+                yield buffer[:fill]
+                fill = 0
+            fill = _apply_into(m, points[a:b], buffer, fill)
+    yield buffer[:fill]
+
+
 def _rows(steps):
     """Rows of the images of the points of (map, points) steps."""
     return sum(len(points) for _, points in steps)
@@ -744,11 +786,19 @@ def cylinder_set(spec, path, approx):
 
 def invariance_residual(spec, approx):
     """Per-vertex Hausdorff distance between each cloud and the union of its
-    one-step refinements; small residuals certify the invariance equation."""
+    one-step refinements; small residuals certify the invariance equation.
+
+    The union is mapped and queried one row block at a time
+    (_image_blocks), and built whole by _level only where a KD-tree is built
+    on it: when it has fewer rows than the cloud, or for the second tree."""
     pts = {v: approx.cloud(v).points for v in spec.graph.vertices}
-    return {v: hausdorff_distance(pts[v], _level(
-                [(m, pts[r]) for m, _, r in _out_maps(spec, v)], spec.dimension))
-            for v in spec.graph.vertices}
+    residuals = {}
+    for v in spec.graph.vertices:
+        steps = [(m, pts[r]) for m, _, r in _out_maps(spec, v)]
+        residuals[v] = _blocked_hausdorff(
+            pts[v], _rows(steps), _image_blocks(steps, spec.dimension),
+            lambda steps=steps: _level(steps, spec.dimension))
+    return residuals
 
 
 def write_point_cloud_csv(spec, approx, path):
@@ -761,17 +811,16 @@ def write_point_cloud_csv(spec, approx, path):
     """
     points_total = approx.total_points()
     header = "vertex," + ",".join(["x", "y"][:spec.dimension])
-    lines = [
-        f"# name={spec.name or 'unnamed'} depth={approx.depth} "
-        f"paths={approx.paths_total} points={points_total} "
-        f"deduplicated={approx.paths_total - points_total} "
-        f"error_bound={approx.error_bound!r}",
-        header,
-    ]
-    for v in spec.graph.vertices:
-        lines.extend(v + "," + ",".join(map(repr, row))
-                     for row in approx.cloud(v).points.tolist())
-    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(f"# name={spec.name or 'unnamed'} depth={approx.depth} "
+                 f"paths={approx.paths_total} points={points_total} "
+                 f"deduplicated={approx.paths_total - points_total} "
+                 f"error_bound={approx.error_bound!r}\n{header}\n")
+        for v in spec.graph.vertices:
+            points = approx.cloud(v).points
+            for a, b in _row_blocks(len(points)):
+                # one Python float per coordinate, taken d at a time
+                values = map(repr, points[a:b].ravel().tolist())
+                fh.writelines(v + "," + ",".join(row) + "\n"
+                              for row in zip(*[values] * spec.dimension))
     return approx.paths_total, points_total

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .attractor import _certificate
+from .attractor import _certificate, _row_blocks
 from .errors import GeometryError, ResolutionError, SpecValidationError
 from .geometry import (
     ConvexPolygon,
@@ -111,35 +111,46 @@ def _suggest_depth(spec, tol):
 
 def _scan_pair(spec, approx, e, f, tol):
     """(sampled minimum gap, [(x, y, certified)], certified zero) for one
-    parallel pair; certified detections lie on the coincidence set."""
+    parallel pair; certified detections lie on the coincidence set. The
+    cloud is scanned one row block at a time (see attractor._row_blocks)."""
     me, mf = spec.edge_maps[e.id], spec.edge_maps[f.id]
     pts = approx.cloud(e.range).points
     diff_matrix = me.matrix - mf.matrix
     diff_shift = mf.translation - me.translation
-    gaps = np.linalg.norm(pts @ diff_matrix.T - diff_shift, axis=1)
-    sampled_min = float(gaps.min())
-    detections = [(me.apply(pts[i]), pts[i], False)
-                  for i in np.nonzero(gaps <= tol)[0]]
 
-    # the coincidence set is y0 + ker(diff_matrix), or empty
+    # the coincidence set is y0 + ker(diff_matrix), or empty (y0 None)
     _, sigma, vt = np.linalg.svd(diff_matrix)
     scale = max(1.0, float(sigma.max(initial=0.0)))
     rank = int(np.sum(sigma > _RANK_CUTOFF * scale))
+    null_basis = None
     if rank == spec.dimension:
         y0 = np.linalg.solve(diff_matrix, diff_shift)
-        # the set is {y0}; adding a zero projection would turn -0.0 into 0.0
-        projected = np.broadcast_to(y0, pts.shape)
     else:
         y0 = np.linalg.lstsq(diff_matrix, diff_shift, rcond=None)[0]
         if np.linalg.norm(diff_matrix @ y0 - diff_shift) > \
                 1e-9 * max(1.0, np.linalg.norm(diff_shift)):
-            return sampled_min, detections, False
-        null_basis = vt[rank:].T  # orthonormal columns spanning the kernel
-        projected = y0 + ((pts - y0) @ null_basis) @ null_basis.T
-    dist = np.linalg.norm(pts - projected, axis=1)
-    close = np.nonzero(dist <= approx.error_bound + tol)[0]
-    detections += [(me.apply(projected[i]), projected[i], True) for i in close]
-    return sampled_min, detections, close.size > 0
+            y0 = None
+        else:
+            null_basis = vt[rank:].T  # orthonormal columns spanning the kernel
+
+    sampled_min = math.inf
+    sampled, certified = [], []
+    for a, b in _row_blocks(len(pts)):
+        block = pts[a:b]
+        gaps = np.linalg.norm(block @ diff_matrix.T - diff_shift, axis=1)
+        sampled_min = min(sampled_min, float(gaps.min()))
+        sampled += [(me.apply(y), y, False) for y in block[gaps <= tol]]
+        if y0 is None:
+            continue
+        if null_basis is None:
+            # the set is {y0}; adding a zero projection would turn -0.0 into 0.0
+            projected = np.broadcast_to(y0, block.shape)
+        else:
+            projected = y0 + ((block - y0) @ null_basis) @ null_basis.T
+        dist = np.linalg.norm(block - projected, axis=1)
+        certified += [(me.apply(y), y, True)
+                      for y in projected[dist <= approx.error_bound + tol]]
+    return sampled_min, sampled + certified, bool(certified)
 
 
 def _cluster(detections, tol, source_vertex, range_vertex):

@@ -227,10 +227,9 @@ def _exact_tree(points):
 def hausdorff_distance(a, b):
     """Exact Hausdorff distance between two finite point sets (N, d).
 
-    One KD-tree on the smaller set S answers h(L -> S) for the larger set L.
-    A point s that is the nearest neighbour of some l in L has
-    d(s, L) <= |s - l| <= h(L -> S), in floats too, so only the points of S
-    that no l chose are queried against a second tree, built on L.
+    The distance _blocked_hausdorff finds with the larger set as one block:
+    one KD-tree on the smaller set, and a second on the larger one only for
+    the points of the smaller set that are no point's nearest neighbour.
     """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
@@ -244,14 +243,39 @@ def hausdorff_distance(a, b):
         raise GeometryError(
             "Hausdorff distance needs finite coordinates, got a non-finite "
             f"value among point sets of shapes {pa.shape} and {pb.shape}")
-    small, large = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
-    dist, nearest = _exact_tree(small).query(large, workers=-1)
+    return _blocked_hausdorff(pa, len(pb), (pb,), lambda: pb)
+
+
+def _blocked_hausdorff(a, rows, blocks, whole):
+    """Exact Hausdorff distance between a nonempty finite point set a (N, d)
+    and a nonempty finite set B of `rows` points in R^d, given twice: as
+    blocks, an iterable of row blocks whose concatenation is B, and as
+    whole(), which returns B in one array.
+
+    One KD-tree on the smaller set S (a on a tie) answers h(L -> S) for the
+    larger set L, queried one block at a time while the running maximum and
+    the points of S chosen as nearest neighbours are kept. A chosen point s
+    has d(s, L) <= |s - l| <= h(L -> S), in floats too, so only the points
+    of S that no l chose are queried against a second tree, built on L.
+    B is asked for whole only to build a tree on it: when it is the smaller
+    set, or for that second tree; when a is the smaller set and every point
+    of it is chosen, no more than one block of B is held at a time.
+    """
+    if len(a) <= rows:
+        small, queries, large = a, blocks, whole
+    else:
+        small, queries, large = whole(), (a,), lambda: a
+    tree = _exact_tree(small)
     marked = np.zeros(len(small), dtype=bool)
-    marked[nearest] = True
-    out = dist.max()
+    out = 0.0
+    for block in queries:
+        dist, nearest = tree.query(block, workers=-1)
+        out = max(out, dist.max())
+        marked[nearest] = True
+    del tree  # freed before the second tree is built
     if not marked.all():
-        out = max(out, _exact_tree(large).query(small[~marked],
-                                                workers=-1)[0].max())
+        out = max(out, _exact_tree(large()).query(small[~marked],
+                                                  workers=-1)[0].max())
     return float(out)
 
 

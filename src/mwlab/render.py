@@ -11,6 +11,7 @@ import zlib
 
 import numpy as np
 
+from .attractor import _row_blocks
 from .errors import ResolutionError
 
 __all__ = ["PALETTE", "render_bounds", "image_shape", "rasterize", "write_png",
@@ -85,23 +86,26 @@ def image_shape(spec, px=512):
 
 
 def rasterize(spec, approx, px=512):
-    """Render the clouds to an RGB uint8 array of the shape image_shape gives."""
+    """Render the clouds to an RGB uint8 array of the shape image_shape gives.
+
+    Each cloud is mapped to pixels and splatted one row block at a time (see
+    attractor._row_blocks), in row order, so no temporary is cloud-sized."""
     height, _ = image_shape(spec, px)
     lo, hi = _quarter_bounds(spec)
     span = hi - lo
     image = np.full((height, px, 3), 255, dtype=np.uint8)
     for k, v in enumerate(spec.graph.vertices):
         color = PALETTE[k % len(PALETTE)]
-        pts = approx.cloud(v).points * _SCALE
-        if spec.dimension == 1:
-            xy = np.column_stack([pts[:, 0], np.zeros(len(pts))])
-        else:
-            xy = pts
-        cols = np.clip(((xy[:, 0] - lo[0]) / span[0] * (px - 1)).round(),
-                       0, px - 1).astype(int)
-        rows = np.clip(((hi[1] - xy[:, 1]) / span[1] * (height - 1)).round(),
-                       0, height - 1).astype(int)
-        image[rows, cols] = color
+        points = approx.cloud(v).points
+        for a, b in _row_blocks(len(points)):
+            xy = points[a:b] * _SCALE
+            if spec.dimension == 1:
+                xy = np.column_stack([xy[:, 0], np.zeros(len(xy))])
+            cols = np.clip(((xy[:, 0] - lo[0]) / span[0] * (px - 1)).round(),
+                           0, px - 1).astype(int)
+            rows = np.clip(((hi[1] - xy[:, 1]) / span[1] * (height - 1))
+                           .round(), 0, height - 1).astype(int)
+            image[rows, cols] = color
     return image
 
 

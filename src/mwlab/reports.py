@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 
+# the text lists this many branch points; the document keeps all of them
+_TEXT_BRANCH_POINTS = 20
+
+
 def _json_safe(value):
     if isinstance(value, float):
         if math.isinf(value):
@@ -198,11 +202,15 @@ def render_text(report):
         f"{hyp['quotient_dimension']}",
         f"  left action lands in compacts: {hyp['left_action_by_compacts']}",
     ]
-    for bp in branch["branch_points"]:
+    listed = branch["branch_points"][:_TEXT_BRANCH_POINTS]
+    for bp in listed:
         lines.append(
             f"    at x={bp['x']['coords']} ({bp['x']['vertex']}) from "
             f"y={bp['y']['coords']} via {', '.join(bp['edges'])} "
             f"index={bp['index']} certified={bp['certified']}")
+    if branch["count"] > len(listed):
+        lines.append(f"    ... and {branch['count'] - len(listed)} more "
+                     f"(all of them in --format json)")
     if (branch["has_parallel_pairs"] and not branch["scan_resolution_sufficient"]
             and branch["suggested_depth"]):
         lines.append(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import mwlab.attractor
 import mwlab.geometry
 from mwlab.attractor import invariant_list
 from mwlab.datasets import load_bundled
@@ -62,6 +63,16 @@ def tree_builds(monkeypatch):
 
     monkeypatch.setattr(mwlab.geometry, "cKDTree", counted)
     return builds
+
+
+@pytest.fixture(params=[2, 3])
+def small_blocks(request, monkeypatch):
+    """Cut every row-block pass over a finished cloud (the residual, the
+    branch scan, the CSV and PNG writers) into blocks of 2, then of 3 rows,
+    so that a few hundred rows already cross many block boundaries and end
+    on every remainder."""
+    monkeypatch.setattr(mwlab.attractor, "_BLOCK_ROWS", request.param)
+    return request.param
 
 
 def cut_words(spec, depth):

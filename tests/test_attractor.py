@@ -21,7 +21,8 @@ from mwlab.attractor import (
 from mwlab.datasets import list_bundled
 from mwlab.errors import BudgetExceededError, ResolutionError, \
     SpecValidationError
-from mwlab.geometry import hausdorff_distance, similarity_from_params
+from mwlab.geometry import _blocked_hausdorff, hausdorff_distance, \
+    similarity_from_params
 from mwlab.graph import Graph, paths_from
 from specs_inline import affine1, binary_ifs, cantor_ifs, one_loop, \
     thin_cantor, two_part_dust
@@ -238,6 +239,41 @@ class TestSweepMemory:
         assert peak < 4 * 2 ** 20
 
 
+class TestBlockPassMemory:
+    """Peak traced allocation of the passes over finished clouds, which take
+    one row block at a time (attractor._row_blocks); the clouds are made
+    before tracing starts. scipy is imported by this module, so its import
+    is not traced either. The KD-tree's nodes are not allocated through
+    tracemalloc's hooks; its index array is.
+
+    Building each vertex's union of images whole and querying it in one
+    call took 35.7 MB for the residual on squares_z2 at depth 9, where the
+    union of one vertex alone (4 * 4^9 rows) is 16 MiB; the blocks take
+    5.5 MB. Joining the whole CSV text of penrose at depth 12 (7.9 MiB)
+    took 35.8 MB; one block's coordinates as Python floats take 4.2 MB.
+    """
+
+    @staticmethod
+    def _peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_residual_peak_bytes(self):
+        approx = approx_for("squares_z2", 9)
+        assert len(approx.cloud("v1")) == 4 ** 9
+        assert self._peak(invariance_residual, bundled("squares_z2"),
+                          approx) < 8 * 2 ** 20
+
+    def test_csv_peak_bytes(self, tmp_path):
+        approx = approx_for("penrose", 12)
+        assert self._peak(write_point_cloud_csv, bundled("penrose"), approx,
+                          tmp_path / "cloud.csv") < 6 * 2 ** 20
+
+
 class TestCodingMap:
     def test_fixed_point_path(self):
         spec = two_part_dust()
@@ -329,8 +365,8 @@ class TestResidualPin:
     def test_equals_two_tree_formula_with_second_tree(self, monkeypatch,
                                                       tree_builds):
         # overlapping maps of three ratios: at depth 7 some cloud points are
-        # no refinement point's nearest, so hausdorff_distance needs its
-        # second tree (no bundled cut-set cloud does at depths 6 to 16)
+        # no refinement point's nearest, so the residual needs its second
+        # tree (no bundled cut-set cloud does at depths 6 to 16)
         g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v"),
                           ("e3", "v", "v")])
         spec = MWGraphSpec(graph=g, dimension=1,
@@ -346,16 +382,17 @@ class TestResidualPin:
     @staticmethod
     def _residual_tree_builds(spec, approx, monkeypatch, tree_builds):
         """Check each residual against the two-tree formula; return the
-        KD-trees each hausdorff_distance call built."""
+        KD-trees each call of the shared Hausdorff routine built."""
         per_call = []
 
-        def counted_distance(a, b):
+        def counted_distance(*args):
             start = len(tree_builds)
-            out = hausdorff_distance(a, b)
+            out = _blocked_hausdorff(*args)
             per_call.append(len(tree_builds) - start)
             return out
 
-        monkeypatch.setattr(mwlab.attractor, "hausdorff_distance", counted_distance)
+        monkeypatch.setattr(mwlab.attractor, "_blocked_hausdorff",
+                            counted_distance)
         res = invariance_residual(spec, approx)
         for v in spec.graph.vertices:
             union = np.vstack([spec.edge_maps[e.id].apply(approx.cloud(e.range).points)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -263,10 +263,25 @@ def test_matches_reference_scan(spec, depth, tol):
     assert_same_report(spec, invariant_list(spec, depth), tol)
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(one_vertex_systems(), st.integers(2, 6),
+       st.sampled_from((1e-6, 1e-3, 1e-2, 0.1)))
+def test_matches_reference_scan_in_small_blocks(small_blocks, spec, depth,
+                                                tol):
+    # the reference maps and projects each cloud whole
+    assert_same_report(spec, invariant_list(spec, depth), tol)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-3])
 @pytest.mark.parametrize("name", list_bundled())
 def test_bundled_systems_match_reference(name, tol):
     assert_same_report(bundled(name), approx_for(name, 7), tol)
+
+
+@pytest.mark.parametrize("name", list_bundled())
+def test_bundled_systems_match_reference_in_small_blocks(name, small_blocks):
+    assert_same_report(bundled(name), approx_for(name, 6), 1e-3)
 
 
 def _similarity_pair(d):
@@ -308,6 +323,11 @@ def test_doubled_gasket_matches_reference(tol):
     spec = doubled_gasket()
     report = assert_same_report(spec, invariant_list(spec, 6), tol)
     assert report.count == (729 if tol == 1e-6 else 68)
+
+
+def test_doubled_gasket_matches_reference_in_small_blocks(small_blocks):
+    spec = doubled_gasket()
+    assert assert_same_report(spec, invariant_list(spec, 6), 1e-6).count == 729
 
 
 def test_doubled_gasket_clusters_in_linear_time(monkeypatch):

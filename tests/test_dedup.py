@@ -14,13 +14,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled, cut_words
+from conftest import bundled, cut_words, two_tree_hausdorff
 from mwlab import attractor
 from mwlab.attractor import _DEDUP_DIVISOR, MWGraphSpec, SeedBox, \
-    _dedup_sorted, invariant_list, total_paths
+    _dedup_sorted, _image_blocks, _level, _out_maps, invariance_residual, \
+    invariant_list, total_paths
 from mwlab.datasets import list_bundled
 from mwlab.geometry import AffineContraction, hausdorff_distance
 from mwlab.graph import Graph
@@ -422,3 +423,43 @@ def test_random_systems_clouds_within_bounds_across_depths(case, data):
 def test_random_systems_count_their_paths(case):
     spec, depth = case
     assert invariant_list(spec, depth).paths_total == total_paths(spec, depth)
+
+
+def assert_residual_matches_whole_union(spec, depth):
+    """The blocked residual against the union _level builds whole and the
+    two-tree formula; the blocks, joined, are that union byte for byte."""
+    approx = invariant_list(spec, depth)
+    res = invariance_residual(spec, approx)
+    for v in spec.graph.vertices:
+        steps = [(m, approx.cloud(r).points) for m, _, r in _out_maps(spec, v)]
+        union = _level(steps, spec.dimension)
+        blocks = [block.copy() for block in _image_blocks(steps, spec.dimension)]
+        assert np.concatenate(blocks).tobytes() == union.tobytes()
+        assert res[v] == two_tree_hausdorff(approx.cloud(v).points, union)
+
+
+# 50 draws for each block size: 100 in all
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(systems(), mixed_systems()))
+def test_residual_in_small_blocks_matches_whole_union(small_blocks, case):
+    assert_residual_matches_whole_union(*case)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_residual_with_a_one_row_range_cloud(small_blocks, d):
+    # K_w is the fixed point of one map, a cloud of one row, and its image
+    # joins the images of v's cloud: a one-row step between blocks of several
+    half = 0.5 * np.eye(d)
+    spec = MWGraphSpec(
+        graph=Graph(["v", "w"], [("e1", "v", "v"), ("e2", "v", "w"),
+                                 ("e3", "v", "v"), ("e4", "w", "w")]),
+        dimension=d, seed_boxes={v: SeedBox((0.0,) * d, (1.0,) * d)
+                                 for v in ("v", "w")},
+        edge_maps={"e1": AffineContraction(half, np.zeros(d)),
+                   "e2": AffineContraction(half, np.full(d, 0.5)),
+                   "e3": AffineContraction(half, np.full(d, 0.25)),
+                   "e4": AffineContraction(0.75 * np.eye(d), np.zeros(d))})
+    approx = invariant_list(spec, 7)
+    assert len(approx.cloud("w")) == 1 and len(approx.cloud("v")) > 3
+    assert_residual_matches_whole_union(spec, 7)

@@ -4,7 +4,8 @@ are byte-identical for identical inputs, across refactors as well.
 Each digest is the sha256 of the bytes `mwlab` writes for one bundled example
 at a fixed small depth (PNG at the default width). A change that alters any
 of these bytes must say so and re-pin them. Text reports carry wall-clock
-timings, so they are not pinned.
+timings, so they are not pinned. The same digests hold with every row-block
+pass over a finished cloud cut into blocks of 2 and of 3 rows.
 """
 
 import hashlib
@@ -85,3 +86,16 @@ def test_csv_and_png_bytes(name, tmp_path):
     assert code == 0, err.getvalue()
     assert _sha256(csv.read_bytes()) == DIGESTS[name]["csv"]
     assert _sha256(png.read_bytes()) == DIGESTS[name]["png"]
+
+
+@pytest.mark.parametrize("command", ["report", "conditions"])
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_json_bytes_in_small_blocks(name, command, small_blocks):
+    # the residual, the branch scan and the writers cut each cloud into
+    # blocks of a few rows; the bytes are those of whole-cloud passes
+    test_json_bytes(name, command)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_csv_and_png_bytes_in_small_blocks(name, tmp_path, small_blocks):
+    test_csv_and_png_bytes(name, tmp_path)

@@ -21,6 +21,7 @@ from mwlab.datasets import list_bundled
 from mwlab.graph import vertex_matrix
 from mwlab.reports import build_analysis_report, ktheory_lines, \
     ktheory_summary, reference_lines, render_json, render_text
+from specs_inline import doubled_gasket
 
 COUNTED = (
     (mwlab.reports, "branch_points"),
@@ -312,3 +313,16 @@ def test_ktheory_command_prints_the_shared_blocks(name):
     assert main(["ktheory", name], out=out) == 0
     assert out.getvalue() == "\n".join(lines) + "\n"
     assert out.getvalue() == ref_ktheory_text(summary, spec.reference)
+
+
+def test_text_lists_twenty_branch_points_and_json_all():
+    # every cloud point of the doubled gasket is a branch point
+    report = build_analysis_report(doubled_gasket(), 6, 1e-6)
+    branch = json.loads(render_json(report))["branch"]
+    assert branch["count"] == len(branch["branch_points"]) == 729
+    text = render_text(report).splitlines()
+    listed = [line for line in text if line.startswith("    at x=")]
+    assert [line.split(" (")[0] for line in listed] == \
+        [f"    at x={bp['x']['coords']}" for bp in branch["branch_points"][:20]]
+    assert text[text.index(listed[-1]) + 1] == \
+        "    ... and 709 more (all of them in --format json)"
