@@ -1,20 +1,27 @@
-"""Sampled bimodule structure on the cographs: whole clouds are mapped once
-per edge, and the evaluators are still called one point at a time.
+"""Sampled bimodule structure on the cographs: each function walks its
+points in one plain loop and calls the evaluators directly.
 
 The whole-cloud functions (norm_two, norm_inf, is_invariant) map each vertex
 cloud as one array per incoming edge or path (along a path as cylinder_set
-does); the per-point functions (inner_product, expectation, tensor_eval) map
-single coordinate tuples with plain float arithmetic. Either way the
-evaluators receive LabeledPoints, one point at a time.
+does) and read the images back as one Python list of floats per column; the
+per-point functions (inner_product, expectation, tensor_eval) map single
+coordinate tuples with AffineContraction.apply_coords. Either way the
+evaluators receive LabeledPoints, one point at a time: the points of a
+vertex in cloud order, vertices in sorted order, and at each point its
+incoming edges in declaration order.
 
-The bulk builders (_map_point, _cloud_with_images, sample_points and
-is_invariant's per-point generator) make their LabeledPoints with
-geometry._labeled, which skips the constructor's float coercion. That is safe
-because every tuple they pass is already made of Python floats: rows come from
-ndarray.tolist() on float arrays, and apply_coords returns float sums, so
-each point equals, bit for bit, the one the public constructor would build.
-tensor_eval's base point comes from the caller and goes through the public,
-coercing constructor.
+The functions build their LabeledPoints inline, with object.__new__ and the
+two slot setters (sample_points and tensor_eval through geometry._labeled,
+which does the same). That skips the constructor's float coercion, which is
+safe because every tuple they pass is already made of Python floats: rows
+come from ndarray.tolist() on float arrays, and apply_coords returns float
+sums, so each point equals, bit for bit, the one the public constructor
+would build. tensor_eval's base point comes from the caller and goes through
+the public, coercing constructor.
+
+The evaluator of a CographFunction or SampledObservable is called directly,
+with the complex() that the wrapper's __call__ applies, so a subclass that
+overrides __call__ is not consulted.
 
 Functions on the union of cographs are represented by evaluators
 (x, y, edge) -> complex; functions on the invariant set by evaluators
@@ -72,13 +79,10 @@ class SampledObservable:
         return complex(self.evaluator(x))
 
 
-def _incoming(spec, vertex):
-    """Edges e with range(e) = vertex; exactly those with y in K_{r(e)}."""
-    return spec.graph.in_edges(vertex)
-
-
-def _map_point(spec, edge, y):
-    return _labeled(edge.source, spec.edge_maps[edge.id].apply_coords(y.coords))
+# LabeledPoint built without its constructor; see the module docstring
+_new = object.__new__
+_set_vertex = LabeledPoint.vertex.__set__
+_set_coords = LabeledPoint.coords.__set__
 
 
 def _rows(points):
@@ -87,21 +91,9 @@ def _rows(points):
     return zip(*points.T.tolist())
 
 
-def _cloud_with_images(spec, approx, vertex):
-    """Yield each cloud point y at a vertex with the pairs (e, phi_e(y)) over
-    its incoming edges, in declaration order. The cloud is mapped once per
-    edge; the LabeledPoints are built as the points are reached."""
-    points = approx.cloud(vertex).points
-    edges = _incoming(spec, vertex)
-    images = [_rows(spec.edge_maps[e.id].apply(points)) for e in edges]
-    for row, *image_rows in zip(_rows(points), *images):
-        yield _labeled(vertex, row), [
-            (e, _labeled(e.source, r)) for e, r in zip(edges, image_rows)]
-
-
 def xi_zero(spec):
     """The canonical unit vector: 1/sqrt(#incoming edges at the vertex of y)."""
-    counts = {v: len(_incoming(spec, v)) for v in spec.graph.vertices}
+    counts = {v: len(spec.graph.in_edges(v)) for v in spec.graph.vertices}
 
     def evaluate(x, y, edge_id):
         return 1.0 / math.sqrt(counts[y.vertex])
@@ -112,17 +104,29 @@ def xi_zero(spec):
 def inner_product(spec, xi, eta, y):
     """Module inner product at y: sum over incoming edges of
     conj(xi(phi_e(y), y)) * eta(phi_e(y), y)."""
+    f, g = xi.evaluator, eta.evaluator
+    maps, coords = spec.edge_maps, y.coords
     total = 0j
-    for e in _incoming(spec, y.vertex):
-        x = _map_point(spec, e, y)
-        total += xi(x, y, e.id).conjugate() * eta(x, y, e.id)
+    for e in spec.graph.in_edges(y.vertex):
+        x = _new(LabeledPoint)
+        _set_vertex(x, e.source)
+        _set_coords(x, maps[e.id].apply_coords(coords))
+        total += complex(f(x, y, e.id)).conjugate() * complex(g(x, y, e.id))
     return total
 
 
 def expectation(spec, a, y):
     """Average of the observable over the incoming-edge images of y."""
-    edges = _incoming(spec, y.vertex)
-    return sum(a(_map_point(spec, e, y)) for e in edges) / len(edges)
+    f = a.evaluator
+    maps, coords = spec.edge_maps, y.coords
+    values = []
+    for e in spec.graph.in_edges(y.vertex):
+        x = _new(LabeledPoint)
+        _set_vertex(x, e.source)
+        _set_coords(x, maps[e.id].apply_coords(coords))
+        values.append(complex(f(x)))
+    # sum() itself, so the total rounds as sum rounds on every Python version
+    return sum(values) / len(values)
 
 
 def sample_points(approx):
@@ -135,26 +139,52 @@ def norm_two(spec, approx, xi):
     """Sampled module two-norm: sup_y sqrt(<xi, xi>(y)) over the clouds.
 
     A lower bound for the true supremum; the gap is controlled by the modulus
-    of continuity of xi, which is not estimated here.
+    of continuity of xi, which is not estimated here. NaN if an evaluator
+    value is NaN.
     """
-    best = 0.0
+    f = xi.evaluator
+    best = 0.0  # the largest real part of <xi, xi>(y); sqrt is monotone
     for v in sorted(approx.clouds):
-        for y, images in _cloud_with_images(spec, approx, v):
+        points = approx.cloud(v).points
+        edges = [(e.source, e.id) for e in spec.graph.in_edges(v)]
+        images = [_rows(spec.edge_maps[eid].apply(points)) for _, eid in edges]
+        for row, *image_rows in zip(_rows(points), *images):
+            y = _new(LabeledPoint)
+            _set_vertex(y, v)
+            _set_coords(y, row)
             total = 0j
-            for e, x in images:
-                z = xi(x, y, e.id)
+            for (source, eid), r in zip(edges, image_rows):
+                x = _new(LabeledPoint)
+                _set_vertex(x, source)
+                _set_coords(x, r)
+                z = complex(f(x, y, eid))
                 total += z.conjugate() * z
-            best = max(best, math.sqrt(max(total.real, 0.0)))
-    return best
+            t = total.real
+            if t > best or t != t:  # a NaN stays: nothing compares above it
+                best = t
+    return math.sqrt(best)
 
 
 def norm_inf(spec, approx, xi):
-    """Sampled sup norm of xi over the cograph points above the clouds."""
+    """Sampled sup norm of xi over the cograph points above the clouds; NaN
+    if an evaluator value is NaN."""
+    f = xi.evaluator
     best = 0.0
     for v in sorted(approx.clouds):
-        for y, images in _cloud_with_images(spec, approx, v):
-            for e, x in images:
-                best = max(best, abs(xi(x, y, e.id)))
+        points = approx.cloud(v).points
+        edges = [(e.source, e.id) for e in spec.graph.in_edges(v)]
+        images = [_rows(spec.edge_maps[eid].apply(points)) for _, eid in edges]
+        for row, *image_rows in zip(_rows(points), *images):
+            y = _new(LabeledPoint)
+            _set_vertex(y, v)
+            _set_coords(y, row)
+            for (source, eid), r in zip(edges, image_rows):
+                x = _new(LabeledPoint)
+                _set_vertex(x, source)
+                _set_coords(x, r)
+                z = abs(complex(f(x, y, eid)))
+                if z > best or z != z:  # a NaN stays: nothing compares above it
+                    best = z
     return best
 
 
@@ -172,7 +202,8 @@ def tensor_eval(spec, xis, path, y):
     edges = [spec.graph.edge(eid) for eid in path.edges]
     points = [LabeledPoint(edges[-1].range, np.asarray(y, dtype=float))]
     for e in reversed(edges):
-        points.append(_map_point(spec, e, points[-1]))
+        points.append(_labeled(
+            e.source, spec.edge_maps[e.id].apply_coords(points[-1].coords)))
     points.reverse()  # points[k] = phi_{w_{k+1} ... w_n}(y), points[0] outermost
     product = complex(1.0)
     for k, (xi, e) in enumerate(zip(xis, edges)):
@@ -186,9 +217,10 @@ def is_invariant(spec, a, n, approx, tol):
     For every sampled y and all length-n paths alpha, beta ending at the
     vertex of y and starting at a common vertex, the values a(phi_alpha(y))
     and a(phi_beta(y)) must agree within tol; the values are measured from
-    their lexicographic (real, imag) minimum. The observable is called path
-    by path over a whole cloud image; vertices are taken in sorted order and
-    the check stops at the first one that fails.
+    their lexicographic (real, imag) minimum, and a NaN value fails. The
+    observable is called path by path over a whole cloud image; vertices are
+    taken in sorted order and the check stops at the first one that fails.
+    A tol that is NaN or negative is refused with ValueError.
 
     Memory grows with paths x points: each group of paths sharing a start
     and an end vertex holds one complex value per (path, cloud point), and
@@ -196,6 +228,9 @@ def is_invariant(spec, a, n, approx, tol):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    f = a.evaluator
     groups = {}  # range -> source -> length-n paths, in enumeration order
     for u in spec.graph.vertices:
         for p in paths_from(spec.graph, u, n):
@@ -206,12 +241,15 @@ def is_invariant(spec, a, n, approx, tol):
         for u, paths in groups.get(v, {}).items():
             values = np.empty((len(paths), len(cloud)), dtype=complex)
             for row, p in zip(values, paths):
-                row[:] = np.fromiter(
-                    (a(_labeled(u, c))
-                     for c in _rows(_apply_along(spec, p, cloud))),
-                    dtype=complex, count=len(cloud))
+                out = []
+                for coords in _rows(_apply_along(spec, p, cloud)):
+                    x = _new(LabeledPoint)
+                    _set_vertex(x, u)
+                    _set_coords(x, coords)
+                    out.append(complex(f(x)))
+                row[:] = out
             first = np.lexsort((values.imag, values.real), axis=0)[0]
             values -= values[first, columns]
-            if np.any(np.abs(values) > tol):
+            if not np.all(np.abs(values) <= tol):  # NaN <= tol is False
                 return False
     return True

@@ -5,6 +5,7 @@ range vertex; a path (e_1, ..., e_m) is composable when range(e_i) equals
 source(e_{i+1}). Parallel edges and loops are fully supported.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 from .ktheory import IntMatrix
@@ -160,8 +161,13 @@ def is_irreducible(g):
 def paths_from(g, vertex, n):
     """All composable edge sequences of length n starting at vertex.
 
-    Deterministic order: lexicographic in edge declaration order.
+    Deterministic order: lexicographic in edge declaration order. A length
+    that is not an integer is refused: no path would ever match it.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"path length must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("path length must be >= 1")
     g._check_vertex(vertex)

@@ -183,6 +183,24 @@ class TestNorms:
             assert ni <= n2 + 1e-12
             assert n2 <= root_n * ni + 1e-12
 
+    def test_nan_everywhere_gives_nan(self, dust):
+        spec, approx = dust
+        nan = CographFunction(lambda x, y, e: math.nan)
+        assert math.isnan(norm_two(spec, approx, nan))
+        assert math.isnan(norm_inf(spec, approx, nan))
+
+    def test_nan_at_one_point_gives_nan(self, dust):
+        # the NaN comes first and finite values above every earlier one
+        # follow it; none of them may replace it
+        spec, approx = dust
+        first = sample_points(approx)[0]
+        xi = CographFunction(
+            lambda x, y, e: math.nan if y == first else 1.0 + sum(y.coords))
+        assert math.isnan(norm_two(spec, approx, xi))
+        assert math.isnan(norm_inf(spec, approx, xi))
+        assert math.isnan(norm_inf(spec, approx, CographFunction(
+            lambda x, y, e: complex(math.nan, 1.0))))
+
 
 class TestTensor:
     def test_all_ones(self, dust):
@@ -257,6 +275,42 @@ class TestInvariance:
         spec, approx = binary
         ident = SampledObservable(lambda x: x.coords[0])
         assert not is_invariant(spec, ident, 1, approx, tol=0.25)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+    def test_tol_nan_or_negative_refused(self, dust, tol):
+        spec, approx = dust
+        ident = SampledObservable(lambda x: x.coords[0])
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            is_invariant(spec, ident, 2, approx, tol)
+
+    def test_length_that_is_not_an_integer_refused(self, dust):
+        spec, approx = dust
+        ident = SampledObservable(lambda x: x.coords[0])
+        with pytest.raises(ValueError, match="integer, got 2.5"):
+            is_invariant(spec, ident, 2.5, approx, 1e-12)
+
+    @pytest.mark.parametrize("value", [math.nan, complex(1.0, math.nan)])
+    def test_nan_values_are_not_invariant(self, dust, value):
+        spec, approx = dust
+        bad = SampledObservable(lambda x: value)
+        for tol in (1e-12, 10.0, math.inf):
+            assert not is_invariant(spec, bad, 2, approx, tol)
+
+    @pytest.mark.parametrize("at", [0, 5, -1])
+    def test_nan_at_one_point_is_not_invariant(self, dust, at):
+        spec, approx = dust
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return math.nan if len(calls) == nan_call else 2.5
+
+        nan_call = 0
+        assert is_invariant(spec, SampledObservable(evaluate), 1, approx, 1e-12)
+        nan_call = range(1, len(calls) + 1)[at]  # one call of those the check makes
+        calls.clear()
+        const = SampledObservable(evaluate)
+        assert not is_invariant(spec, const, 1, approx, 10.0)
 
 
 # --- per-point references for the whole-cloud functions ---------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mwlab.graph import (
@@ -141,6 +142,22 @@ class TestPathsFrom:
             rebuilt = g.make_path(p.edges)
             assert rebuilt.source == p.source == "v2"
             assert rebuilt.range == p.range
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None])
+    def test_length_that_is_not_an_integer_is_refused(self, n):
+        # no prefix ever has length 2.5: the search would never end
+        with pytest.raises(ValueError, match=f"integer, got {n!r}"):
+            paths_from(binary_graph(), "v", n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_length_below_one_is_refused(self, n):
+        with pytest.raises(ValueError, match=">= 1"):
+            paths_from(binary_graph(), "v", n)
+
+    def test_integer_like_lengths_accepted(self):
+        g = binary_graph()
+        assert paths_from(g, "v", np.int64(3)) == paths_from(g, "v", 3)
+        assert paths_from(g, "v", True) == paths_from(g, "v", 1)
 
 
 class TestVertexMatrix:

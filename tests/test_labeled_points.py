@@ -325,6 +325,16 @@ class Log:
         self.calls.append(repr(x))
         return x.coords[0] * math.cos(3.0 * x.coords[-1]) + 1j * math.sin(x.coords[0])
 
+    def negative_zero(self, *points):
+        """Signed zeros: a sum started from its first term, rather than from
+        0j or int 0, keeps them and shows in the repr."""
+        self.calls.append(("zero",) + tuple(map(repr, points)))
+        return complex(-0.0, -0.0)
+
+    def float_negative_zero(self, x):
+        self.calls.append(("float zero", repr(x)))
+        return -0.0
+
 
 def run_all(spec, approx, points_of, inner, expect, two, inf, tensor, invariant):
     """Every correspondence result, as one repr, with the evaluator log."""
@@ -345,6 +355,18 @@ def run_all(spec, approx, points_of, inner, expect, two, inf, tensor, invariant)
     for tol in (1e-12, 0.5, 10.0):
         results += [invariant(spec, a, 2, approx, tol),
                     invariant(spec, const, 2, approx, tol)]
+    one = CographFunction(lambda x, y, e: 1.0)
+    zero_xi = CographFunction(log.negative_zero)
+    zero_a = SampledObservable(log.negative_zero)
+    float_zero_a = SampledObservable(log.float_negative_zero)
+    results += [[inner(spec, one, zero_xi, y) for y in points],
+                [inner(spec, xi, zero_xi, y) for y in points],
+                [inner(spec, zero_xi, zero_xi, y) for y in points],
+                [expect(spec, zero_a, y) for y in points],
+                [expect(spec, float_zero_a, y) for y in points],
+                two(spec, approx, zero_xi), inf(spec, approx, zero_xi),
+                invariant(spec, zero_a, 2, approx, 1e-12),
+                invariant(spec, float_zero_a, 2, approx, 1e-12)]
     return repr(results), log.calls
 
 
