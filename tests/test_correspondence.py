@@ -190,8 +190,8 @@ class TestNorms:
         assert math.isnan(norm_inf(spec, approx, nan))
 
     def test_nan_at_one_point_gives_nan(self, dust):
-        # the NaN comes first and finite values above every earlier one
-        # follow it; none of them may replace it
+        # NaN at the first point, then larger finite values: none of them
+        # may replace it
         spec, approx = dust
         first = sample_points(approx)[0]
         xi = CographFunction(
@@ -305,12 +305,12 @@ class TestInvariance:
             calls.append(x)
             return math.nan if len(calls) == nan_call else 2.5
 
+        observable = SampledObservable(evaluate)
         nan_call = 0
-        assert is_invariant(spec, SampledObservable(evaluate), 1, approx, 1e-12)
+        assert is_invariant(spec, observable, 1, approx, 1e-12)
         nan_call = range(1, len(calls) + 1)[at]  # one call of those the check makes
         calls.clear()
-        const = SampledObservable(evaluate)
-        assert not is_invariant(spec, const, 1, approx, 10.0)
+        assert not is_invariant(spec, observable, 1, approx, 10.0)
 
 
 # --- per-point references for the whole-cloud functions ---------------------
