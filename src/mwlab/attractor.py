@@ -34,7 +34,8 @@ count travels on the result as paths_total.
 The passes over finished clouds go one row block at a time (_row_blocks):
 the invariance residual maps each union of one-step images block by block
 into one buffer, with the rows the level builder would give, and queries
-each block against one KD-tree, building a union whole only where a tree is
+each block against one KD-tree, within the largest distance found so far
+(geometry._blocked_hausdorff), building a union whole only where a tree is
 built on it; the branch scan, the CSV writer and the renderer take the
 same blocks.
 
@@ -51,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ResolutionError, SpecValidationError
+from .errors import BudgetExceededError, GeometryError, ResolutionError, \
+    SpecValidationError
 # cKDTree is geometry's lazy KD-tree builder, unused here; the name stays
 # because the benchmark's traced run counts builds by patching it per module
 from .geometry import AffineContraction, LabeledPoint, _blocked_hausdorff, \
@@ -89,8 +91,10 @@ _SLAB_ROWS = 1 << 14
 
 # Rows per block of the passes over a finished cloud (_row_blocks): the
 # residual's images, the branch scan, the CSV text and the PNG splats. Each
-# residual block is one threaded KD-tree query, which costs enough per call
-# that blocks of _SLAB_ROWS rows were slower; blocks of this size were not.
+# residual block is one threaded KD-tree query bounded by the running
+# maximum, and a second, unbounded one for the rows outside that bound, if
+# any; a query costs enough per call that blocks of _SLAB_ROWS rows were
+# slower, and blocks of this size were not.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -790,14 +794,20 @@ def invariance_residual(spec, approx):
 
     The union is mapped and queried one row block at a time
     (_image_blocks), and built whole by _level only where a KD-tree is built
-    on it: when it has fewer rows than the cloud, or for the second tree."""
+    on it: when it has fewer rows than the cloud, or for the second tree.
+    A distance whose square leaves the float64 range is refused with
+    ResolutionError."""
     pts = {v: approx.cloud(v).points for v in spec.graph.vertices}
     residuals = {}
     for v in spec.graph.vertices:
         steps = [(m, pts[r]) for m, _, r in _out_maps(spec, v)]
-        residuals[v] = _blocked_hausdorff(
-            pts[v], _rows(steps), _image_blocks(steps, spec.dimension),
-            lambda steps=steps: _level(steps, spec.dimension))
+        try:
+            residuals[v] = _blocked_hausdorff(
+                pts[v], _rows(steps), _image_blocks(steps, spec.dimension),
+                lambda steps=steps: _level(steps, spec.dimension))
+        except GeometryError as exc:
+            raise ResolutionError(
+                f"invariance residual at {v!r}: {exc}") from exc
     return residuals
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from .attractor import _certificate, _row_blocks
 from .errors import GeometryError, ResolutionError, SpecValidationError
 from .geometry import (
+    _TINY_DISTANCE,
     ConvexPolygon,
     Interval,
     LabeledPoint,
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _RANK_CUTOFF = 1e-10
+# The branch scan measures gaps with np.linalg.norm, which squares them; a
+# seed-box diagonal below this has a finite square, with room for rounding.
+_HUGE_DISTANCE = 2.0 ** 510
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,23 @@ def _cluster(detections, tol, source_vertex, range_vertex):
             for x, y, edges, certified in clusters]
 
 
+def _check_scale(spec, approx):
+    """Refuse, with ResolutionError, a system whose distances square outside
+    the normal float64 range: seed boxes _HUGE_DISTANCE or more across, where
+    a squared gap can overflow, or a certificate below _TINY_DISTANCE, where
+    squared gaps underflow and distinct points can read as coincident."""
+    if not spec.max_diameter < _HUGE_DISTANCE:
+        raise ResolutionError(
+            f"seed boxes up to {spec.max_diameter!r} across, not below "
+            f"{_HUGE_DISTANCE!r}: squared distances can overflow float64; "
+            f"scale the system down")
+    if not approx.error_bound >= _TINY_DISTANCE:
+        raise ResolutionError(
+            f"depth {approx.depth}: certificate {approx.error_bound!r} is below "
+            f"{_TINY_DISTANCE!r}, where squared distances underflow float64; "
+            f"scale the system up")
+
+
 def branch_points(spec, approx, tol):
     """Detect branch points over the sampled clouds, with exact affine witnesses.
 
@@ -190,8 +211,11 @@ def branch_points(spec, approx, tol):
     certified witness: a point of the float coincidence set within the error
     bound plus tol of a cloud point, which need not lie in the invariant
     set. Otherwise it is the sampled minimum (a resolution-limited estimate).
+    A system whose distances square outside the normal float64 range is
+    refused (_check_scale).
     """
     _check_tol(tol)
+    _check_scale(spec, approx)
     sufficient = approx.error_bound < tol / 4.0
     parallel = {}
     for e in spec.graph.edges:

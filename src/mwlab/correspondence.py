@@ -34,6 +34,7 @@ label of y, never by coordinate comparisons or a distance to the cloud.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,9 +218,11 @@ def is_invariant(spec, a, n, approx, tol):
     For every sampled y and all length-n paths alpha, beta ending at the
     vertex of y and starting at a common vertex, the values a(phi_alpha(y))
     and a(phi_beta(y)) must agree within tol; the values are measured from
-    their lexicographic (real, imag) minimum, and a NaN value fails. The
-    observable is called path by path over a whole cloud image; vertices are
-    taken in sorted order and the check stops at the first one that fails.
+    their lexicographic (real, imag) minimum, and a NaN value fails. Values
+    equal to that minimum agree, infinite ones too; any other non-finite
+    difference fails. The observable is called path by path over a whole
+    cloud image; vertices are taken in sorted order and the check stops at
+    the first one that fails.
     A tol that is NaN or negative is refused with ValueError.
 
     Memory grows with paths x points: each group of paths sharing a start
@@ -248,8 +251,14 @@ def is_invariant(spec, a, n, approx, tol):
                     _set_coords(x, coords)
                     out.append(complex(f(x)))
                 row[:] = out
-            first = np.lexsort((values.imag, values.real), axis=0)[0]
-            values -= values[first, columns]
-            if not np.all(np.abs(values) <= tol):  # NaN <= tol is False
+            reference = values[np.lexsort((values.imag, values.real),
+                                          axis=0)[0], columns]
+            same = values == reference  # equal infinities agree too
+            # inf - inf is NaN and a gap past the float range is inf; both
+            # fail, even with tol = inf, unless the values are equal
+            with np.errstate(invalid="ignore", over="ignore"):
+                values -= reference
+                gaps = np.abs(values)
+            if not np.all(same | (gaps <= min(tol, sys.float_info.max))):
                 return False
     return True

@@ -224,12 +224,31 @@ def _exact_tree(points):
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
+# Every nearest-neighbour query of _blocked_hausdorff is first bounded by a
+# ball a little wider than the largest distance found so far: the KD-tree
+# then skips every node that lies farther out. The slack keeps a distance
+# equal to that maximum inside the ball, since cKDTree keeps only neighbours
+# strictly nearer than the bound. One row in _SEED_STRIDE of the first block
+# is queried without a bound, to start the maximum near its final value.
+_RADIUS_SLACK = 1.0 + 2.0 ** -20
+_SEED_STRIDE = 64
+# The least distance whose square is a normal float64 number. A KD-tree
+# compares squared distances, so nearer points lose precision, and points
+# closer than about 2**-537 in every coordinate come back at distance 0.0.
+_TINY_DISTANCE = 2.0 ** -511
+
+
 def hausdorff_distance(a, b):
     """Exact Hausdorff distance between two finite point sets (N, d).
 
     The distance _blocked_hausdorff finds with the larger set as one block:
     one KD-tree on the smaller set, and a second on the larger one only for
     the points of the smaller set that are no point's nearest neighbour.
+    Each query is bounded by the largest distance found so far, and only the
+    points with no neighbour inside that bound are queried again. Raises
+    GeometryError where a squared distance overflows float64, or where the
+    distance is below _TINY_DISTANCE, so that its square underflows, and
+    the sets differ.
     """
     pa = np.atleast_2d(np.asarray(a, dtype=float))
     pb = np.atleast_2d(np.asarray(b, dtype=float))
@@ -260,6 +279,12 @@ def _blocked_hausdorff(a, rows, blocks, whole):
     B is asked for whole only to build a tree on it: when it is the smaller
     set, or for that second tree; when a is the smaller set and every point
     of it is chosen, no more than one block of B is held at a time.
+
+    Every query looks only within the running maximum (_nearest), seeded by
+    an unbounded query of every _SEED_STRIDE-th row of the first block; the
+    second tree's query looks within h(L -> S). A neighbour found inside
+    the bound is a nearest one, with the float an unbounded query gives, so
+    the marks and the result are those of unbounded queries.
     """
     if len(a) <= rows:
         small, queries, large = a, blocks, whole
@@ -267,16 +292,50 @@ def _blocked_hausdorff(a, rows, blocks, whole):
         small, queries, large = whole(), (a,), lambda: a
     tree = _exact_tree(small)
     marked = np.zeros(len(small), dtype=bool)
-    out = 0.0
+    out = None
     for block in queries:
-        dist, nearest = tree.query(block, workers=-1)
+        if out is None:
+            out = tree.query(block[::_SEED_STRIDE], workers=-1)[0].max()
+        dist, nearest = _nearest(tree, block, out)
         out = max(out, dist.max())
         marked[nearest] = True
     del tree  # freed before the second tree is built
     if not marked.all():
-        out = max(out, _exact_tree(large()).query(small[~marked],
-                                                  workers=-1)[0].max())
+        out = max(out, _nearest(_exact_tree(large()), small[~marked],
+                                out)[0].max())
+    if out < _TINY_DISTANCE and not _same_points(small, large()):
+        raise GeometryError(
+            f"Hausdorff distance underflows: the sets differ, but by less "
+            f"than {_TINY_DISTANCE!r}, whose square is the least normal "
+            f"float64")
     return float(out)
+
+
+def _nearest(tree, rows, largest):
+    """(distance, index) of each row's nearest point in the KD-tree, found
+    within a ball a little wider than largest (at least _TINY_DISTANCE);
+    the rows with no point inside it are queried again without a bound.
+
+    Raises GeometryError for a row still without a neighbour: its squared
+    distance to every point overflows float64.
+    """
+    radius = max(largest, _TINY_DISTANCE) * _RADIUS_SLACK
+    dist, nearest = tree.query(rows, workers=-1, distance_upper_bound=radius)
+    missed = np.flatnonzero(nearest == tree.n)
+    if len(missed):
+        dist[missed], nearest[missed] = tree.query(rows[missed], workers=-1)
+        if (nearest[missed] == tree.n).any():
+            raise GeometryError(
+                "Hausdorff distance overflows: a squared distance between "
+                "the sets exceeds the float64 range")
+    return dist, nearest
+
+
+def _same_points(a, b):
+    """True iff the arrays (N, d) and (M, d) hold the same set of points,
+    with -0.0 equal to 0.0."""
+    return np.array_equal(np.unique(a + 0.0, axis=0),
+                          np.unique(b + 0.0, axis=0))
 
 
 # --- convex polygons (d = 2) --------------------------------------------------

@@ -65,6 +65,32 @@ def tree_builds(monkeypatch):
     return builds
 
 
+class _LoggedTree:
+    """A cKDTree whose queries append (rows, distance_upper_bound) to log."""
+
+    def __init__(self, tree, log):
+        self._tree, self._log, self.n = tree, log, tree.n
+
+    def query(self, x, *args, **kwargs):
+        self._log.append((len(x), kwargs.get("distance_upper_bound", math.inf)))
+        return self._tree.query(x, *args, **kwargs)
+
+
+@pytest.fixture
+def tree_queries(monkeypatch):
+    """The queries made of each KD-tree hausdorff_distance builds: one list
+    of (rows, bound) per tree, in build order; an unbounded query reads
+    bound inf."""
+    logs = []
+
+    def logged(data, *args, **kwargs):
+        logs.append([])
+        return _LoggedTree(cKDTree(data, *args, **kwargs), logs[-1])
+
+    monkeypatch.setattr(mwlab.geometry, "cKDTree", logged)
+    return logs
+
+
 @pytest.fixture(params=[2, 3])
 def small_blocks(request, monkeypatch):
     """Cut every row-block pass over a finished cloud (the residual, the

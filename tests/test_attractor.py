@@ -346,6 +346,22 @@ class TestResiduals:
             assert max(res.values()) <= 2 * approx.error_bound
 
 
+    @pytest.mark.parametrize("scale,named", [(1e200, "overflows"),
+                                             (1e-200, "underflows")])
+    def test_squares_outside_the_float_range_refused(self, scale, named):
+        # 1e200 raised IndexError from the KD-tree's index n, and 1e-200
+        # read 0.0, every square having underflowed
+        g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")])
+        spec = MWGraphSpec(graph=g, dimension=1,
+                           seed_boxes={"v": SeedBox((-scale,), (scale,))},
+                           edge_maps={"e1": affine1(0.5, -scale / 2),
+                                      "e2": affine1(0.5, scale / 2)})
+        approx = invariant_list(spec, 4)
+        with pytest.raises(ResolutionError,
+                           match=f"invariance residual at 'v': .*{named}"):
+            invariance_residual(spec, approx)
+
+
 RESIDUAL_DEPTHS = {"binary_ifs": 10, "cantor_ifs": 10, "duplicate_map": 10,
                    "two_part_dust": 10, "penrose": 8, "squares_z2": 6}
 
@@ -378,6 +394,29 @@ class TestResidualPin:
         per_call = self._residual_tree_builds(spec, approx, monkeypatch,
                                               tree_builds)
         assert per_call == [2]
+
+    def test_rows_outside_the_bound_are_queried_again(self, tree_queries):
+        self._check_queried_again(tree_queries)
+
+    def test_rows_outside_the_bound_are_queried_again_in_small_blocks(
+            self, small_blocks, tree_queries):
+        self._check_queried_again(tree_queries)
+
+    @staticmethod
+    def _check_queried_again(tree_queries):
+        # two_part_dust has two ratios, and some of its image rows lie
+        # farther from the cloud than the maximum found before their block:
+        # they miss the bounded search and are queried again without a bound
+        spec, approx = bundled("two_part_dust"), approx_for("two_part_dust", 8)
+        res = invariance_residual(spec, approx)
+        for v in spec.graph.vertices:
+            union = np.vstack([spec.edge_maps[e.id].apply(approx.cloud(e.range).points)
+                               for e in spec.graph.out_edges(v)])
+            assert res[v] == two_tree_hausdorff(approx.cloud(v).points, union)
+        again = [rows for log in tree_queries
+                 for (_, before), (rows, bound) in zip(log, log[1:])
+                 if before < math.inf and bound == math.inf]
+        assert again
 
     @staticmethod
     def _residual_tree_builds(spec, approx, monkeypatch, tree_builds):

@@ -483,6 +483,58 @@ class TestReport:
         assert max(doc["invariance_residuals"].values()) <= 2 * doc["error_bound"]
 
 
+def halves(s):
+    """x/2 - s/2 and x/2 + s/2 on [-s, s]: a valid system at any scale s."""
+    return {"name": "halves", "dimension": 1,
+            "vertices": [{"id": "v", "seed_box": [[-s], [s]]}],
+            "edges": [{"id": eid, "source": "v", "range": "v",
+                       "map": {"kind": "affine", "matrix": [[0.5]],
+                               "translation": [t]}}
+                      for eid, t in (("e1", -s / 2), ("e2", s / 2))]}
+
+
+class TestDistanceScale:
+    """Distances are compared by their squares, which float64 holds as
+    normal numbers only between about 1.5e-154 and 1.3e154."""
+
+    @pytest.mark.parametrize("command", ["report", "conditions"])
+    @pytest.mark.parametrize("scale,named", [(1e200, "overflow"),
+                                             (1e-200, "underflow")])
+    def test_refused_as_resource_error(self, tmp_path, command, scale, named):
+        # 1e200 ended in an IndexError from the residual's KD-tree query, and
+        # 1e-200 read residual 0.0 and a certified branch point
+        doc = tmp_path / "halves.json"
+        doc.write_text(json.dumps(halves(scale)))
+        code, out, err = run_cli(command, str(doc), "--depth", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource error:") and named in err
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("argv", [["validate"], ["attractor", "--depth", "4"],
+                                      ["ktheory"]])
+    def test_other_commands_accept_the_system(self, tmp_path, scale, argv):
+        doc = tmp_path / "halves.json"
+        doc.write_text(json.dumps(halves(scale)))
+        code, _, err = run_cli(argv[0], str(doc), *argv[1:])
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("scale", [2.0 ** 508, 2.0 ** -490])
+    def test_largest_and_smallest_scales_accepted(self, tmp_path, scale):
+        doc = tmp_path / "halves.json"
+        doc.write_text(json.dumps(halves(scale)))
+        code, out, _ = run_cli("report", str(doc), "--depth", "4",
+                               "--format", "json")
+        assert code == 0
+        # the cloud is 16 cell centres, its images 32: all 1/32 of s apart
+        assert json.loads(out)["invariance_residuals"] == {"v": scale / 32}
+
+    def test_next_scale_up_refused(self, tmp_path):
+        doc = tmp_path / "halves.json"
+        doc.write_text(json.dumps(halves(2.0 ** 509)))
+        code, _, err = run_cli("report", str(doc), "--depth", "4")
+        assert code == 3 and "overflow" in err
+
+
 class TestExamples:
     def test_list(self):
         code, out, _ = run_cli("examples", "list")

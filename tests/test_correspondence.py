@@ -296,6 +296,41 @@ class TestInvariance:
         for tol in (1e-12, 10.0, math.inf):
             assert not is_invariant(spec, bad, 2, approx, tol)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf,
+                                       complex(math.inf, 1.0),
+                                       complex(1.0, -math.inf),
+                                       complex(math.inf, math.inf)])
+    def test_infinite_constant_is_invariant(self, dust, value):
+        # inf - inf warned "invalid value encountered in subtract", and the
+        # NaN it made read as not invariant
+        spec, approx = dust
+        const = SampledObservable(lambda x: value)
+        for tol in (0.0, 1e-12, math.inf):
+            assert is_invariant(spec, const, 2, approx, tol)
+
+    @pytest.mark.parametrize("value,other", [
+        (math.inf, 2.5), (-math.inf, 2.5), (math.inf, -math.inf),
+        (complex(math.inf, 1.0), complex(math.inf, 0.0)),
+        (1e308, -1e308),  # a finite pair whose difference overflows
+    ])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_one_other_value_past_the_float_range_fails(self, dust, value,
+                                                         other, at):
+        spec, approx = dust
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return value if len(calls) == odd_call else other
+
+        observable = SampledObservable(evaluate)
+        odd_call = 0
+        assert is_invariant(spec, observable, 2, approx, 0.0)
+        odd_call = range(1, len(calls) + 1)[at]
+        for tol in (1e-12, math.inf):
+            calls.clear()
+            assert not is_invariant(spec, observable, 2, approx, tol)
+
     @pytest.mark.parametrize("at", [0, 5, -1])
     def test_nan_at_one_point_is_not_invariant(self, dust, at):
         spec, approx = dust

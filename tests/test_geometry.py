@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from conftest import two_tree_hausdorff
+from mwlab.attractor import _row_blocks
 from mwlab.errors import GeometryError
 from mwlab.geometry import (
+    _RADIUS_SLACK,
+    _SEED_STRIDE,
+    _TINY_DISTANCE,
     AffineContraction,
     ConvexPolygon,
     Interval,
+    _blocked_hausdorff,
     _signed_area,
     _uncovered_area,
     contraction_bounds,
@@ -226,9 +232,142 @@ class TestHausdorff:
         with pytest.raises(GeometryError, match=r"\(2, 2, 1\) and \(2, 2\)"):
             hausdorff_distance(np.zeros((2, 2, 1)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("a,b", [
+        ([[1e200]], [[-1e200]]),
+        ([[1e154, 1e154]], [[-1e154, -1e154]]),  # only the sum overflows
+        ([[0.0], [1e200]], [[0.0], [0.5], [1.0]]),  # on the second tree
+    ])
+    def test_overflowing_square_named(self, a, b):
+        # cKDTree answers index n for it, which used to raise IndexError
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GeometryError, match="overflows"):
+                hausdorff_distance(x, y)
+
+    @pytest.mark.parametrize("a,b", [
+        ([[1e-200]], [[-1e-200]]),
+        ([[0.0, 0.0], [1e-170, 0.0]], [[0.0, 0.0]]),
+        ([[0.0], [1e-160]], [[0.0], [2e-160]]),  # a subnormal square
+    ])
+    def test_underflowing_square_named(self, a, b):
+        # every square was 0.0 or subnormal, so the sets read as 0.0 apart
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(GeometryError, match="underflows"):
+                hausdorff_distance(x, y)
+
+    def test_tiny_but_exact_distances(self):
+        assert hausdorff_distance([[1e-200]], [[1e-200], [1e-200]]) == 0.0
+        assert hausdorff_distance([[-0.0, 1e-300]], [[0.0, 1e-300]]) == 0.0
+        assert hausdorff_distance([[0.0]], [[_TINY_DISTANCE]]) == _TINY_DISTANCE
+        assert hausdorff_distance([[1e-150]], [[0.0]]) == 1e-150
+
+
+def _centres(k, offset=0.5):
+    """The centres of a k x k grid of cells on the unit square, moved by
+    offset - 0.5 cells; dyadic for k a power of two."""
+    i, j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
+    return (np.stack([i.ravel(), j.ravel()], axis=1) + offset) / k
+
+
+def _bounded_search_cases():
+    """Point-set pairs (a, b) that drive each branch of the bounded search:
+    rows outside the seed's bound, distances that all tie the maximum, a
+    maximum of 0.0 and signed zeros."""
+    rng = np.random.RandomState(61)
+    fine = rng.uniform(0, 1, (1000, 2))
+    far = rng.uniform(2, 3, (10, 2))
+    outlier = [[6.0, -3.0]]
+    return {
+        # every centre of the 32 x 32 grid lies sqrt(2)/64 from its cell's
+        # centre in the 16 x 16 grid; the outlier goes in at row 1000, which
+        # the seed's stride of 64 skips
+        "late outlier": (_centres(16), np.insert(_centres(32), 1000, outlier,
+                                                 axis=0)),
+        "outlier in the smaller set": (np.vstack([_centres(16), outlier]),
+                                       _centres(32)),
+        "refined lattice": (_centres(16), _centres(32)),
+        # 1/64 apart, a distance whose square is exact: with no slack the
+        # bound would equal it and keep none of them
+        "refined interval": (_centres(16)[:16, 1:], _centres(32)[:32, 1:]),
+        # every point has four nearest neighbours, all at the maximum
+        "offset lattice": (_centres(20), _centres(20, offset=1.0)),
+        "itself": (fine, fine),
+        "repeated rows": (fine, np.vstack([fine, fine[::3]])),
+        "superset": (fine, np.vstack([fine, far])),
+        "signed zeros": (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                         np.array([[-0.0, -0.0], [1.0, -0.0], [-0.0, 2.0]])),
+        "signed zero and a far point": (np.array([[-0.0]]),
+                                        np.array([[0.0], [3.0]])),
+    }
+
+
+BOUNDED_SEARCH_CASES = _bounded_search_cases()
+
+
+def blocked_hausdorff(a, b):
+    """_blocked_hausdorff with b given in the blocks of attractor._row_blocks."""
+    blocks = (b[start:stop] for start, stop in _row_blocks(len(b)))
+    return _blocked_hausdorff(a, len(b), blocks, lambda: b)
+
 
 class TestHausdorffOracle:
     """hausdorff_distance returns exactly the float of the two-tree formula."""
+
+    @pytest.mark.parametrize("case", sorted(BOUNDED_SEARCH_CASES))
+    def test_bounded_search_cases_equal_exactly(self, case):
+        a, b = BOUNDED_SEARCH_CASES[case]
+        expect = two_tree_hausdorff(a, b)
+        assert hausdorff_distance(a, b) == expect
+        assert hausdorff_distance(b, a) == expect
+        assert math.copysign(1.0, hausdorff_distance(a, b)) == 1.0
+
+    @pytest.mark.parametrize("case", sorted(BOUNDED_SEARCH_CASES))
+    def test_bounded_search_cases_in_small_blocks(self, small_blocks, case):
+        a, b = BOUNDED_SEARCH_CASES[case]
+        expect = two_tree_hausdorff(a, b)
+        assert blocked_hausdorff(a, b) == expect
+        assert blocked_hausdorff(b, a) == expect
+
+    def test_late_outlier_is_queried_again(self, tree_queries):
+        coarse, late = BOUNDED_SEARCH_CASES["late outlier"]
+        seed = cKDTree(coarse).query(late[::_SEED_STRIDE])[0].max()
+        got = hausdorff_distance(coarse, late)
+        assert seed * _RADIUS_SLACK < got  # the seed's bound is too small
+        seed_rows = len(late[::_SEED_STRIDE])
+        [log] = tree_queries
+        assert [rows for rows, _ in log] == [seed_rows, len(late), 1]
+        assert [bound for _, bound in log] == \
+            [math.inf, seed * _RADIUS_SLACK, math.inf]
+
+    def test_second_tree_is_bounded_by_the_first_maximum(self, tree_queries):
+        small, large = BOUNDED_SEARCH_CASES["outlier in the smaller set"]
+        first = cKDTree(small).query(large)[0].max()
+        assert hausdorff_distance(small, large) == \
+            two_tree_hausdorff(small, large)
+        # the outlier is the one unmarked point, and it lies outside the bound
+        assert tree_queries[1] == [(1, first * _RADIUS_SLACK), (1, math.inf)]
+
+    @pytest.mark.parametrize("case", ["refined lattice", "refined interval",
+                                      "offset lattice"])
+    def test_ties_at_the_maximum_are_found_inside_the_bound(self, tree_queries,
+                                                            case):
+        a, b = BOUNDED_SEARCH_CASES[case]
+        expect = hausdorff_distance(a, b)
+        assert expect == two_tree_hausdorff(a, b)
+        # only the seed is unbounded: the slack keeps each tie inside the ball
+        bounds = [bound for log in tree_queries for _, bound in log]
+        assert bounds[0] == math.inf
+        assert all(bound < math.inf for bound in bounds[1:])
+
+    @pytest.mark.parametrize("case,again", [("itself", 0), ("repeated rows", 0),
+                                            ("superset", 10)])
+    def test_maximum_of_zero_bounds_at_the_tiny_distance(self, tree_queries,
+                                                         case, again):
+        a, b = BOUNDED_SEARCH_CASES[case]
+        hausdorff_distance(a, b)
+        [log] = tree_queries
+        assert log[:2] == [(len(b[::_SEED_STRIDE]), math.inf),
+                           (len(b), _TINY_DISTANCE * _RADIUS_SLACK)]
+        assert log[2:] == ([(again, math.inf)] if again else [])
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_random_sets_equal_exactly(self, d):
