@@ -78,9 +78,9 @@ class _LoggedTree:
 
 @pytest.fixture
 def tree_queries(monkeypatch):
-    """The queries made of each KD-tree hausdorff_distance builds: one list
-    of (rows, bound) per tree, in build order; an unbounded query reads
-    bound inf."""
+    """The queries made of each KD-tree the Hausdorff routine builds: one
+    list of (rows, bound) per tree, in build order; an unbounded query
+    reads bound inf."""
     logs = []
 
     def logged(data, *args, **kwargs):

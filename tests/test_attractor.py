@@ -345,7 +345,6 @@ class TestResiduals:
             res = invariance_residual(spec, approx)
             assert max(res.values()) <= 2 * approx.error_bound
 
-
     @pytest.mark.parametrize("scale,named", [(1e200, "overflows"),
                                              (1e-200, "underflows")])
     def test_squares_outside_the_float_range_refused(self, scale, named):
